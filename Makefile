@@ -1,13 +1,15 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check tier1 sanitize-smoke faults-smoke profile-smoke roofline-smoke overlap-smoke serve-smoke slo-smoke baseline gate report fuzz faults bench test
+.PHONY: check tier1 sanitize-smoke faults-smoke profile-smoke roofline-smoke overlap-smoke serve-smoke slo-smoke gate report fuzz faults bench test
 
 # The gate: tier-1 suite + the sanitizer, fault-injection, observability,
 # hardware-utilization, async-overlap, partition-service and SLO
 # self-checks + the policy-driven perf-regression gate on the committed
-# ledger.
+# ledger + the differential fault matrix and adversarial-schedule sweeps.
+# CI runs exactly this target.
 check: tier1 sanitize-smoke faults-smoke profile-smoke roofline-smoke overlap-smoke serve-smoke slo-smoke gate
+	$(PYTHON) -m pytest -q -m "faults or fuzz"
 
 # Tier-1: the fast suite (fuzz/bench-marked tests excluded via pyproject).
 tier1:
@@ -64,12 +66,6 @@ slo-smoke:
 	$(PYTHON) -m repro trace .slo_smoke_ledger.jsonl \
 		--trace-out .slo_smoke_trace.json
 	rm -f .slo_smoke_ledger.jsonl .slo_smoke_trace.json
-
-# Perf gate: diff the profiled workload against benchmarks/BENCH_profile.json
-# (seeds the baseline on first run; --update after intentional perf changes).
-# Subsumed by `make gate`, kept for the old snapshot format.
-baseline:
-	$(PYTHON) benchmarks/baseline.py
 
 # Generalized perf-regression gate: fresh runs of the gate workload vs the
 # committed baseline ledger, under the multi-metric tolerance policy.

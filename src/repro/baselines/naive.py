@@ -6,24 +6,19 @@ balanced by construction on unit weights).
 
 Like the multilevel engines, both take a frozen options dataclass
 (:class:`~repro.baselines.options.RandomOptions` /
-:class:`~repro.baselines.options.BlockOptions`), report through
-:func:`repro.obs.profile_run` / :func:`repro.obs.finish_run` (so served
-and profiled runs land in the run ledger with a config fingerprint), and
-accept ``fault_plan`` / ``fault_recovery``.  The legacy kwarg
-constructor (``RandomPartitioner(ubfactor=..., seed=...)``) still works.
+:class:`~repro.baselines.options.BlockOptions`), run through
+:func:`repro.engine.run_engine` (so served and profiled runs land in the
+run ledger with a config fingerprint), and accept ``fault_plan`` /
+``fault_recovery``.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
+from ..engine import EngineRun, run_engine
 from ..exceptions import InvalidParameterError
-from ..faults import attach_injector
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import edge_cut, imbalance
-from ..obs.hooks import finish_run, profile_run
 from ..result import PartitionResult
 from ..runtime.clock import SimClock
 from ..runtime.machine import PAPER_MACHINE, MachineSpec
@@ -33,31 +28,19 @@ from .options import BlockOptions, RandomOptions
 __all__ = ["RandomPartitioner", "BlockPartitioner"]
 
 
-class _TrivialBase:
+class _Baseline:
+    """The baselines' shared constructor: one options dataclass, checked."""
+
+    name: str = None  # set by subclasses
     options_class: type = None  # set by subclasses
 
-    def __init__(
-        self, options=None, machine: MachineSpec | None = None, **legacy,
-    ) -> None:
-        if legacy:
-            if options is not None:
-                raise InvalidParameterError(
-                    "pass either an options dataclass or bare kwargs, not both"
-                )
-            try:
-                options = self.options_class(**legacy)
-            except TypeError as exc:
-                valid = ", ".join(self.options_class.__dataclass_fields__)
-                raise InvalidParameterError(
-                    f"bad options for {self.name!r}: {exc}; valid options: {valid}"
-                ) from None
+    def __init__(self, options=None, machine: MachineSpec | None = None) -> None:
+        # Positional pre-dataclass calls, e.g. RandomPartitioner(1.05, 7)
+        # meaning (ubfactor, seed), fail here instead of mid-run.
         if options is not None and not isinstance(options, self.options_class):
             raise InvalidParameterError(
                 f"{self.name!r} takes a {self.options_class.__name__} options "
-                f"dataclass, got {type(options).__name__}; the legacy "
-                f"positional (ubfactor, seed) constructor is gone — pass "
-                f"keyword arguments (e.g. {type(self).__name__}(ubfactor=..., "
-                f"seed=...)) or an options dataclass"
+                f"dataclass, got {type(options).__name__}"
             )
         if machine is not None and not isinstance(machine, MachineSpec):
             raise InvalidParameterError(
@@ -66,32 +49,16 @@ class _TrivialBase:
         self.options = options or self.options_class()
         self.machine = machine or PAPER_MACHINE
 
-    # Legacy attribute access (pre-dataclass callers read these).
-    @property
-    def ubfactor(self) -> float:
-        return self.options.ubfactor
+    def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
+        return run_engine(self, graph, k, self._run)
 
-    @property
-    def seed(self) -> int:
-        return self.options.seed
 
+class _TrivialBase(_Baseline):
     def _labels(self, graph: CSRGraph, k: int) -> np.ndarray:
         raise NotImplementedError
 
-    def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        if k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {k}")
-        opts = self.options
-        clock = SimClock()
-        injector = attach_injector(
-            clock, opts.fault_plan, recover=opts.fault_recovery
-        )
-        trace = Trace()
-        profiler = profile_run(
-            clock, engine=self.name, graph=graph, k=k, options=opts,
-        )
+    def _run(self, graph: CSRGraph, k: int, clock: SimClock, trace: Trace) -> EngineRun:
         clock.set_phase("assign")
-        t0 = time.perf_counter()
         part = self._labels(graph, k)
         clock.charge(
             "compute",
@@ -99,28 +66,7 @@ class _TrivialBase:
             count=float(graph.num_vertices),
             detail="label assignment",
         )
-        finish_run(
-            profiler,
-            trace=trace,
-            injector=injector,
-            machine=self.machine,
-            cut=edge_cut(graph, part),
-            imbalance=imbalance(graph, part, k),
-        )
-        extras = {}
-        if injector is not None:
-            extras["degraded"] = injector.degraded
-            extras["fault_events"] = list(injector.events)
-        return PartitionResult(
-            method=self.name,  # type: ignore[attr-defined]
-            graph_name=graph.name,
-            k=k,
-            part=part,
-            clock=clock,
-            trace=trace,
-            wall_seconds=time.perf_counter() - t0,
-            extras=extras,
-        )
+        return EngineRun(part)
 
 
 class RandomPartitioner(_TrivialBase):

@@ -1,18 +1,7 @@
 """Benchmark harness: experiment runner, table/figure renderers, calibration."""
 
-from .baseline import (
-    BASELINE_SCHEMA,
-    BaselineConfig,
-    Regression,
-    collect_snapshot,
-    diff_snapshots,
-    load_snapshot,
-    render_diff,
-    write_snapshot,
-)
 from .calibrate import CALIBRATION_NOTES, ShapeCheck, check_paper_shape
 from .figures import fig5_csv, fig5_series, render_fig5
-from .profiling import Hotspot, hotspot_table, profile_partition
 from .report import (
     BENCH_RESULTS_SCHEMA,
     markdown_report,
@@ -40,14 +29,6 @@ from .tables import (
 )
 
 __all__ = [
-    "BASELINE_SCHEMA",
-    "BaselineConfig",
-    "Regression",
-    "collect_snapshot",
-    "diff_snapshots",
-    "load_snapshot",
-    "render_diff",
-    "write_snapshot",
     "ExperimentConfig",
     "ExperimentResults",
     "MethodRun",
@@ -72,9 +53,6 @@ __all__ = [
     "results_json",
     "write_results_json",
     "write_report",
-    "Hotspot",
-    "profile_partition",
-    "hotspot_table",
     "ScalingPoint",
     "ScalingStudy",
     "run_scaling_study",

@@ -897,7 +897,7 @@ def _cmd_gate(args) -> int:
         print(f"current: {len(current)} recorded run(s) from {args.current}")
     else:
         print("collecting the standard gate workload "
-              "(see repro.bench.baseline.BaselineConfig)...")
+              "(see repro.obs.gate.BaselineConfig)...")
         current = collect_workload_records()
 
     baseline_path = pathlib.Path(args.baseline)

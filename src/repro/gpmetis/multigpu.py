@@ -40,7 +40,7 @@ import numpy as np
 
 from ..exceptions import DeviceMemoryError, InvalidParameterError
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import edge_cut, imbalance
+from ..graphs.metrics import edge_cut
 from ..gpusim.device import Device
 from ..gpusim.simt import threads_for_items
 from ..mtmetis.matching import lockfree_match
@@ -55,7 +55,7 @@ from ..runtime.machine import PAPER_MACHINE, MachineSpec
 from ..runtime.mpi import block_distribution
 from ..runtime.trace import LevelRecord, RefinementRecord, Trace
 from ..serial.contraction import contract
-from ..serial.kway import rebalance_pass
+from ..serial.kway import enforce_balance
 from ..serial.project import project_partition
 from .options import GPMetisOptions
 from .partitioner import GPMetis
@@ -242,12 +242,7 @@ class MultiGpuGPMetis:
                 )
             )
 
-        if k > 1 and imbalance(graph, part, k) > opts.single.ubfactor:
-            pweights = np.bincount(
-                part, weights=graph.vwgt.astype(np.float64), minlength=k
-            )
-            ideal = graph.total_vertex_weight / k
-            rebalance_pass(graph, part, pweights, k, opts.single.ubfactor * ideal)
+        enforce_balance(graph, part, k, opts.single.ubfactor)
 
         return PartitionResult(
             method=self.name,

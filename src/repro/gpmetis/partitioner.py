@@ -2,18 +2,14 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..exceptions import InvalidParameterError
-from ..faults import attach_injector
+from ..engine import EngineRun, run_engine
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import edge_cut, imbalance
-from ..obs.hooks import finish_run, profile_run
 from ..result import PartitionResult
 from ..runtime.clock import SimClock
 from ..runtime.machine import PAPER_MACHINE, MachineSpec
+from ..runtime.trace import Trace
 from .hybrid import run_hybrid
 from .options import GPMetisOptions
 
@@ -40,49 +36,28 @@ class GPMetis:
         self.machine = machine or PAPER_MACHINE
 
     def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        if k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {k}")
-        clock = SimClock()
-        injector = attach_injector(
-            clock, self.options.fault_plan, recover=self.options.fault_recovery
-        )
-        profiler = profile_run(
-            clock, engine=self.name, graph=graph, k=k, options=self.options
-        )
-        t0 = time.perf_counter()
+        return run_engine(self, graph, k, self._run)
+
+    def _run(self, graph: CSRGraph, k: int, clock: SimClock, trace: Trace) -> EngineRun:
+        # run_hybrid builds its own trace and device; the run reports both.
         outcome = run_hybrid(graph, k, self.options, self.machine, clock)
-        part = np.asarray(outcome.part, dtype=np.int64)
-        finish_run(
-            profiler,
+        return EngineRun(
+            np.asarray(outcome.part, dtype=np.int64),
+            attrs={
+                "gpu_levels": outcome.gpu_levels,
+                "cpu_levels": outcome.cpu_levels,
+                "fell_back_to_cpu": outcome.fell_back_to_cpu,
+            },
+            extras={
+                "device_stats": outcome.device.stats,
+                "gpu_levels": outcome.gpu_levels,
+                "cpu_levels": outcome.cpu_levels,
+                "fell_back_to_cpu": outcome.fell_back_to_cpu,
+                "merge_fallbacks": outcome.merge_fallbacks,
+                "merge_strategy": self.options.merge_strategy,
+                "sanitizer": outcome.device.sanitizer,
+                "degraded": outcome.degraded,
+            },
             trace=outcome.trace,
             device_stats=outcome.device.stats,
-            injector=injector,
-            machine=self.machine,
-            cut=edge_cut(graph, part),
-            imbalance=imbalance(graph, part, k),
-            gpu_levels=outcome.gpu_levels,
-            cpu_levels=outcome.cpu_levels,
-            fell_back_to_cpu=outcome.fell_back_to_cpu,
-        )
-        extras = {
-            "device_stats": outcome.device.stats,
-            "gpu_levels": outcome.gpu_levels,
-            "cpu_levels": outcome.cpu_levels,
-            "fell_back_to_cpu": outcome.fell_back_to_cpu,
-            "merge_fallbacks": outcome.merge_fallbacks,
-            "merge_strategy": self.options.merge_strategy,
-            "sanitizer": outcome.device.sanitizer,
-            "degraded": outcome.degraded,
-        }
-        if injector is not None:
-            extras["fault_events"] = list(injector.events)
-        return PartitionResult(
-            method=self.name,
-            graph_name=graph.name,
-            k=k,
-            part=part,
-            clock=clock,
-            trace=outcome.trace,
-            wall_seconds=time.perf_counter() - t0,
-            extras=extras,
         )

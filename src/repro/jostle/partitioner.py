@@ -15,16 +15,14 @@ Jostle's signature moves, per the paper:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine import EngineRun, run_engine
 from ..exceptions import InvalidParameterError
-from ..faults import attach_injector
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import edge_cut, imbalance
-from ..obs.hooks import finish_run, profile_run
+from ..graphs.metrics import edge_cut
 from ..parmetis.distgraph import DistGraph
 from ..parmetis.matching import distributed_match
 from ..result import PartitionResult
@@ -34,7 +32,7 @@ from ..runtime.mpi import MpiSim
 from ..runtime.trace import LevelRecord, RefinementRecord, Trace
 from ..serial.coarsen import CoarseningLevel
 from ..serial.contraction import contract
-from ..serial.kway import rebalance_pass
+from ..serial.kway import enforce_balance
 from ..serial.matching import sequential_match
 from ..mtmetis.refinement import commit_moves, propose_balance_moves
 from ..serial.project import project_partition
@@ -127,20 +125,12 @@ class Jostle:
         return part
 
     def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        if k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {k}")
+        return run_engine(self, graph, k, self._run)
+
+    def _run(self, graph: CSRGraph, k: int, clock: SimClock, trace: Trace) -> EngineRun:
         opts = self.options
-        clock = SimClock()
-        injector = attach_injector(
-            clock, opts.fault_plan, recover=opts.fault_recovery
-        )
-        trace = Trace()
-        profiler = profile_run(
-            clock, engine=self.name, graph=graph, k=k, options=opts,
-        )
         mpi = MpiSim(opts.num_ranks, self.machine.cpu, self.machine.interconnect, clock)
         rng = np.random.default_rng(opts.seed)
-        t0 = time.perf_counter()
 
         # --------------------------------------------------------------
         # Coarsening: distributed, then broadcast + replicated, down to
@@ -267,33 +257,10 @@ class Jostle:
                 )
             )
 
-        if k > 1 and imbalance(graph, part, k) > opts.ubfactor:
-            pweights = np.bincount(
-                part, weights=graph.vwgt.astype(np.float64), minlength=k
-            )
-            ideal = graph.total_vertex_weight / k
-            rebalance_pass(graph, part, pweights, k, opts.ubfactor * ideal)
+        enforce_balance(graph, part, k, opts.ubfactor)
 
-        finish_run(
-            profiler,
-            trace=trace,
-            injector=injector,
-            machine=self.machine,
-            cut=edge_cut(graph, part),
-            imbalance=imbalance(graph, part, k),
-            num_ranks=opts.num_ranks,
-        )
-        extras = {"num_ranks": opts.num_ranks, "messages": mpi.messages_sent}
-        if injector is not None:
-            extras["degraded"] = injector.degraded
-            extras["fault_events"] = list(injector.events)
-        return PartitionResult(
-            method=self.name,
-            graph_name=graph.name,
-            k=k,
-            part=part,
-            clock=clock,
-            trace=trace,
-            wall_seconds=time.perf_counter() - t0,
-            extras=extras,
+        return EngineRun(
+            part,
+            attrs={"num_ranks": opts.num_ranks},
+            extras={"num_ranks": opts.num_ranks, "messages": mpi.messages_sent},
         )

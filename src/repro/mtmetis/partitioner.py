@@ -13,15 +13,11 @@ Phases (paper Sec. II.C):
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..exceptions import InvalidParameterError
-from ..faults import attach_injector
+from ..engine import EngineRun, run_engine
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import edge_cut, imbalance
-from ..obs.hooks import finish_run, profile_run
+from ..graphs.metrics import edge_cut
 from ..obs.spans import clock_span
 from ..result import PartitionResult
 from ..runtime.clock import SimClock
@@ -29,7 +25,7 @@ from ..runtime.machine import PAPER_MACHINE, MachineSpec
 from ..runtime.threads import ThreadPoolSim, block_ownership
 from ..runtime.trace import LevelRecord, RefinementRecord, Trace
 from ..serial.coarsen import CoarseningLevel
-from ..serial.kway import rebalance_pass
+from ..serial.kway import enforce_balance
 from ..serial.project import project_partition
 from .contraction import threaded_contract
 from .initpart import parallel_recursive_bisection
@@ -195,20 +191,12 @@ class MtMetis:
 
     # ------------------------------------------------------------------
     def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        if k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {k}")
+        return run_engine(self, graph, k, self._run)
+
+    def _run(self, graph: CSRGraph, k: int, clock: SimClock, trace: Trace) -> EngineRun:
         opts = self.options
-        clock = SimClock()
-        injector = attach_injector(
-            clock, opts.fault_plan, recover=opts.fault_recovery
-        )
-        trace = Trace()
-        profiler = profile_run(
-            clock, engine=self.name, graph=graph, k=k, options=self.options
-        )
         pool = ThreadPoolSim(opts.num_threads, self.machine.cpu, clock)
         rng = np.random.default_rng(opts.seed)
-        t0 = time.perf_counter()
 
         clock.set_phase("coarsening")
         levels, coarsest = self.coarsen(graph, k, pool, trace, rng)
@@ -231,12 +219,8 @@ class MtMetis:
         part = self.uncoarsen(levels, part, k, pool, trace)
 
         # Balance guarantee at the finest level.
-        if k > 1 and imbalance(graph, part, k) > opts.ubfactor:
-            pweights = np.bincount(
-                part, weights=graph.vwgt.astype(np.float64), minlength=k
-            )
-            ideal = graph.total_vertex_weight / k
-            moves = rebalance_pass(graph, part, pweights, k, opts.ubfactor * ideal)
+        moves = enforce_balance(graph, part, k, opts.ubfactor)
+        if moves is not None:
             clock.charge(
                 "compute",
                 self.machine.cpu.edge_seconds(
@@ -246,26 +230,4 @@ class MtMetis:
                 count=float(graph.num_directed_edges),
                 detail=f"final rebalance ({moves} moves)",
             )
-
-        finish_run(
-            profiler,
-            trace=trace,
-            injector=injector,
-            machine=self.machine,
-            cut=edge_cut(graph, part),
-            imbalance=imbalance(graph, part, k),
-        )
-        extras = {"num_threads": opts.num_threads}
-        if injector is not None:
-            extras["degraded"] = injector.degraded
-            extras["fault_events"] = list(injector.events)
-        return PartitionResult(
-            method=self.name,
-            graph_name=graph.name,
-            k=k,
-            part=part,
-            clock=clock,
-            trace=trace,
-            wall_seconds=time.perf_counter() - t0,
-            extras=extras,
-        )
+        return EngineRun(part, extras={"num_threads": opts.num_threads})

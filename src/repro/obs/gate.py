@@ -1,10 +1,8 @@
 """Generalized regression gate over ledger records.
 
-The PR-2 perf gate (``benchmarks/baseline.py``) hard-codes one check —
-per-phase modeled seconds plus the cut, at one tolerance.  This module
-generalizes it: tolerances for *any* gated quantity (per-phase seconds,
-total, edge cut, imbalance, any scalar metric such as PCIe bytes or the
-matching conflict rate) are declared in one schema-validated policy
+Tolerances for *any* gated quantity (per-phase seconds, total, edge
+cut, imbalance, any scalar metric such as PCIe bytes or the matching
+conflict rate) are declared in one schema-validated policy
 file, evaluated between a committed baseline ledger and a freshly
 collected (or separately recorded) current ledger, and any violation
 makes the gate exit non-zero.
@@ -47,7 +45,7 @@ the config fingerprint additionally detects silent option drift.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .schema import GATE_POLICY_SCHEMA, validate_gate_policy
 
@@ -60,12 +58,13 @@ __all__ = [
     "resolve_quantity",
     "evaluate_gate",
     "render_gate",
+    "BaselineConfig",
     "collect_workload_records",
     "GATE_PAPER_SCALES",
 ]
 
-#: The policy the gate falls back to when none is given: the PR-2
-#: baseline semantics (phases + total + cut at 10 %), generalized.
+#: The policy the gate falls back to when none is given: phases, total
+#: and cut at 10 %.
 DEFAULT_POLICY: dict = {
     "schema": GATE_POLICY_SCHEMA,
     "rules": [
@@ -284,24 +283,43 @@ GATE_PAPER_SCALES: dict[str, float] = {
 }
 
 
+@dataclass(frozen=True)
+class BaselineConfig:
+    """The fixed engine workload the gate profiles."""
+
+    family: str = "delaunay"
+    n: int = 6000
+    k: int = 16
+    seed: int = 7
+    methods: tuple[str, ...] = ("gp-metis", "mt-metis")
+    #: Method-specific option overrides applied on top of the defaults.
+    options: dict = field(
+        default_factory=lambda: {"gp-metis": {"gpu_threshold_min": 2048}}
+    )
+
+    def make_graph(self):
+        from ..graphs import generators
+
+        maker = getattr(generators, self.family)
+        return maker(self.n, seed=self.seed)
+
+
 def collect_workload_records(config=None) -> list[dict]:
     """Freshly profile the standard gate workload into ledger records.
 
-    Reuses the PR-2 :class:`~repro.bench.baseline.BaselineConfig`
-    workload (the same graphs/methods the old gate snapshotted), but
-    records full ledger records so every policy quantity is gateable.
-    On top of that come one gp-metis run per Table I analogue dataset
-    (``GATE_PAPER_SCALES``) — the workload the paper's end-to-end claim
-    and the async-streams overlap win are asserted on — and one
+    One full ledger record per :class:`BaselineConfig` method, so every
+    policy quantity is gateable.  On top of that come one gp-metis run
+    per Table I analogue dataset (``GATE_PAPER_SCALES``) — the workload
+    the paper's end-to-end claim and the async-streams overlap win are
+    asserted on — and one
     ``engine="service"`` record covering the concurrent partition
     service (a fixed mixed workload on a 4-worker pool), so
     ``metric:service.*`` rules gate throughput, latency percentiles and
     cache behaviour alongside the engine runs.
     """
-    # Imported lazily: repro.bench pulls in repro.api (and with it every
-    # engine), which itself imports repro.obs.
+    # Imported lazily: repro.api pulls in every engine, and the engines
+    # import repro.obs.
     from ..api import partition
-    from ..bench.baseline import BaselineConfig
     from ..graphs.datasets import PAPER_DATASETS
     from .ledger import ledger_record
 

@@ -3,8 +3,10 @@
 ``profile_run`` opens the standard root span (same name, same attribute
 schema, whatever the engine), and ``finish_run`` derives the standard
 metric set from the run's :class:`~repro.runtime.trace.Trace` and
-optional :class:`~repro.gpusim.stats.DeviceStats`.  Because all engines
-funnel through these two functions, a GP-metis tree and an mt-metis tree
+optional :class:`~repro.gpusim.stats.DeviceStats`.  Engines do not call
+them directly: :func:`repro.engine.run_engine` calls each exactly once
+per run around the engine's body.  Because all engines funnel through
+these two functions, a GP-metis tree and an mt-metis tree
 are directly comparable — same span categories, same metric names, with
 ``engine=...`` labels separating the GPU and CPU stages of the hybrid.
 

@@ -2,22 +2,17 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..exceptions import InvalidParameterError
-from ..faults import attach_injector
+from ..engine import EngineRun, run_engine
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import edge_cut, imbalance
-from ..obs.hooks import finish_run, profile_run
 from ..obs.spans import clock_span
 from ..result import PartitionResult
 from ..runtime.clock import SimClock
 from ..runtime.machine import PAPER_MACHINE, MachineSpec
 from ..runtime.mpi import MpiSim
 from ..runtime.trace import Trace
-from ..serial.kway import rebalance_pass
+from ..serial.kway import enforce_balance
 from ..serial.project import project_partition
 from .coarsen import distributed_coarsen
 from .distgraph import DistGraph
@@ -42,20 +37,12 @@ class ParMetis:
         self.machine = machine or PAPER_MACHINE
 
     def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        if k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {k}")
+        return run_engine(self, graph, k, self._run)
+
+    def _run(self, graph: CSRGraph, k: int, clock: SimClock, trace: Trace) -> EngineRun:
         opts = self.options
-        clock = SimClock()
-        injector = attach_injector(
-            clock, opts.fault_plan, recover=opts.fault_recovery
-        )
-        trace = Trace()
-        profiler = profile_run(
-            clock, engine=self.name, graph=graph, k=k, options=self.options
-        )
         mpi = MpiSim(opts.num_ranks, self.machine.cpu, self.machine.interconnect, clock)
         rng = np.random.default_rng(opts.seed)
-        t0 = time.perf_counter()
 
         clock.set_phase("coarsening")
         dist = DistGraph.distribute(graph, opts.num_ranks)
@@ -83,42 +70,18 @@ class ParMetis:
                     mpi, trace, level_idx,
                 )
 
-        if k > 1 and imbalance(graph, part, k) > opts.ubfactor:
-            pweights = np.bincount(
-                part, weights=graph.vwgt.astype(np.float64), minlength=k
-            )
-            ideal = graph.total_vertex_weight / k
-            rebalance_pass(graph, part, pweights, k, opts.ubfactor * ideal)
+        if enforce_balance(graph, part, k, opts.ubfactor) is not None:
             mpi.compute(
                 DistGraph.distribute(graph, opts.num_ranks).per_rank_edges(),
                 detail="final rebalance",
             )
-
-        finish_run(
-            profiler,
-            trace=trace,
-            injector=injector,
-            machine=self.machine,
-            cut=edge_cut(graph, part),
-            imbalance=imbalance(graph, part, k),
-            num_ranks=opts.num_ranks,
-        )
-        extras = {
-            "num_ranks": opts.num_ranks,
-            "messages": mpi.messages_sent,
-            "message_bytes": mpi.bytes_sent,
-            "supersteps": mpi.supersteps,
-        }
-        if injector is not None:
-            extras["degraded"] = injector.degraded
-            extras["fault_events"] = list(injector.events)
-        return PartitionResult(
-            method=self.name,
-            graph_name=graph.name,
-            k=k,
-            part=part,
-            clock=clock,
-            trace=trace,
-            wall_seconds=time.perf_counter() - t0,
-            extras=extras,
+        return EngineRun(
+            part,
+            attrs={"num_ranks": opts.num_ranks},
+            extras={
+                "num_ranks": opts.num_ranks,
+                "messages": mpi.messages_sent,
+                "message_bytes": mpi.bytes_sent,
+                "supersteps": mpi.supersteps,
+            },
         )

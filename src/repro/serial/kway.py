@@ -16,6 +16,7 @@ import numpy as np
 
 from .._segments import gather_ranges, segment_ids
 from ..graphs.csr import CSRGraph
+from ..graphs.metrics import imbalance
 
 __all__ = [
     "KwayPassResult",
@@ -23,6 +24,7 @@ __all__ = [
     "kway_refine_pass",
     "kway_refine",
     "rebalance_pass",
+    "enforce_balance",
 ]
 
 
@@ -171,6 +173,22 @@ def rebalance_pass(
         if not progressed:
             break
     return moves
+
+
+def enforce_balance(
+    graph: CSRGraph, part: np.ndarray, k: int, ubfactor: float
+) -> int | None:
+    """The final balance guarantee: rebalance ``part`` in place when it is
+    over the ``ubfactor`` tolerance.
+
+    Returns the number of moves, or ``None`` when ``part`` was already
+    balanced (callers charge their own clock only when it ran).
+    """
+    if not (k > 1 and imbalance(graph, part, k) > ubfactor):
+        return None
+    pweights = np.bincount(part, weights=graph.vwgt.astype(np.float64), minlength=k)
+    ideal = graph.total_vertex_weight / k
+    return rebalance_pass(graph, part, pweights, k, ubfactor * ideal)
 
 
 def kway_refine(

@@ -9,15 +9,11 @@ in Fig. 5.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..exceptions import InvalidParameterError
-from ..faults import attach_injector
+from ..engine import EngineRun, run_engine
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import edge_cut, imbalance
-from ..obs.hooks import finish_run, profile_run
+from ..graphs.metrics import edge_cut
 from ..result import PartitionResult
 from ..runtime.clock import SimClock
 from ..runtime.machine import PAPER_MACHINE, MachineSpec
@@ -45,22 +41,15 @@ class SerialMetis:
         self.machine = machine or PAPER_MACHINE
 
     def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        if k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {k}")
-        opts = self.options
-        clock = SimClock()
+        return run_engine(self, graph, k, self._run)
+
+    def _run(self, graph: CSRGraph, k: int, clock: SimClock, trace: Trace) -> EngineRun:
         # A single-core engine has no faultable substrate (no device, pool
-        # or MPI layer), but attaching keeps the option contract uniform —
-        # the plan simply never fires, and metrics report that honestly.
-        injector = attach_injector(
-            clock, opts.fault_plan, recover=opts.fault_recovery
-        )
-        trace = Trace()
-        profiler = profile_run(
-            clock, engine=self.name, graph=graph, k=k, options=self.options
-        )
+        # or MPI layer), but the harness attaches the injector anyway to
+        # keep the option contract uniform — the plan simply never fires,
+        # and metrics report that honestly.
+        opts = self.options
         rng = np.random.default_rng(opts.seed)
-        t0 = time.perf_counter()
 
         # Phase 1: coarsening.
         clock.set_phase("coarsening")
@@ -136,25 +125,4 @@ class SerialMetis:
                     )
                 )
 
-        finish_run(
-            profiler,
-            trace=trace,
-            injector=injector,
-            machine=self.machine,
-            cut=edge_cut(graph, part),
-            imbalance=imbalance(graph, part, k),
-        )
-        extras = {}
-        if injector is not None:
-            extras["degraded"] = injector.degraded
-            extras["fault_events"] = list(injector.events)
-        return PartitionResult(
-            method=self.name,
-            graph_name=graph.name,
-            k=k,
-            part=part,
-            clock=clock,
-            trace=trace,
-            wall_seconds=time.perf_counter() - t0,
-            extras=extras,
-        )
+        return EngineRun(part)

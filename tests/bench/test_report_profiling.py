@@ -1,21 +1,16 @@
-"""Unit tests for report generation, profiling helpers, memory planning."""
+"""Unit tests for report generation and memory planning."""
 
-import numpy as np
 import pytest
 
 from repro.bench import (
     ExperimentConfig,
-    Hotspot,
-    hotspot_table,
     markdown_report,
-    profile_partition,
     run_experiment,
     write_report,
 )
 from repro.gpmetis import GPMetisOptions, plan_device_memory
 from repro.graphs.generators import delaunay
 from repro.runtime.machine import GpuSpec
-from repro.serial import SerialMetis
 
 
 @pytest.fixture(scope="module")
@@ -44,25 +39,6 @@ class TestReport:
         text = path.read_text()
         assert "usa_roads" in text
         assert "Experiment report" in text
-
-
-class TestProfiling:
-    def test_profile_returns_result_and_hotspots(self):
-        g = delaunay(500, seed=1)
-        result, hotspots = profile_partition(SerialMetis(), g, 8, top=10)
-        assert result.quality(g).cut > 0
-        assert 1 <= len(hotspots) <= 10
-        assert all(isinstance(h, Hotspot) for h in hotspots)
-        # Sorted by internal time, descending.
-        times = [h.total_seconds for h in hotspots]
-        assert times == sorted(times, reverse=True)
-
-    def test_hotspot_table_renders(self):
-        table = hotspot_table(
-            [Hotspot("a.py:1(f)", 10, 0.5, 0.6), Hotspot("b.py:2(g)", 1, 0.1, 0.1)]
-        )
-        assert "a.py:1(f)" in table
-        assert "tottime" in table
 
 
 class TestMemoryPlanning:

@@ -11,7 +11,7 @@ from repro.obs import (
     render_gate,
     validate_gate_policy,
 )
-from repro.obs.gate import load_policy, match_key, resolve_quantity
+from repro.obs.gate import BaselineConfig, load_policy, match_key, resolve_quantity
 
 from .conftest import build_record
 
@@ -205,3 +205,33 @@ class TestCliGate:
             ]
         )
         assert rc == 1
+
+
+class TestBaselineConfig:
+    def test_workload_graph_is_deterministic(self):
+        config = BaselineConfig(n=1500, k=8, seed=5)
+        a, b = config.make_graph(), config.make_graph()
+        assert a.num_vertices == 1500
+        assert (a.adjp == b.adjp).all() and (a.adjncy == b.adjncy).all()
+
+    @pytest.mark.bench
+    def test_workload_runs_are_deterministic(self):
+        """Full engine runs of the workload — slow, excluded from tier-1."""
+        from repro.api import partition
+        from repro.obs.ledger import ledger_record
+
+        config = BaselineConfig(n=1500, k=8, seed=5)
+        graph = config.make_graph()
+        for method in config.methods:
+            opts = config.options.get(method, {})
+            a, b = (
+                ledger_record(
+                    partition(graph, config.k, method=method, seed=config.seed,
+                              **opts).profiler
+                )
+                for _ in range(2)
+            )
+            a.pop("written_at"), b.pop("written_at")
+            assert a == b
+            assert a["phases"]
+            assert a["quality"]["cut"] > 0

@@ -5,7 +5,9 @@ import pytest
 
 from repro.baselines import (
     BlockPartitioner,
+    RandomOptions,
     RandomPartitioner,
+    SpectralOptions,
     SpectralPartitioner,
     fiedler_vector,
     spectral_bisect,
@@ -89,7 +91,7 @@ class TestSpectralPartitioner:
 
     def test_invalid(self, grid):
         with pytest.raises(InvalidParameterError):
-            SpectralPartitioner(ubfactor=0.5)
+            SpectralPartitioner(SpectralOptions(ubfactor=0.5))
         with pytest.raises(InvalidParameterError):
             SpectralPartitioner().partition(grid, 0)
 
@@ -100,8 +102,8 @@ class TestTrivialBaselines:
         validate_partition(medium_graph, res.part, 8, ubfactor=1.02)
 
     def test_random_seed_changes_labels(self, grid):
-        a = RandomPartitioner(seed=1).partition(grid, 4).part
-        b = RandomPartitioner(seed=2).partition(grid, 4).part
+        a = RandomPartitioner(RandomOptions(seed=1)).partition(grid, 4).part
+        b = RandomPartitioner(RandomOptions(seed=2)).partition(grid, 4).part
         assert not np.array_equal(a, b)
 
     def test_block_contiguous(self, grid):
@@ -129,3 +131,5 @@ class TestTrivialBaselines:
                 cls(1.05)
             with pytest.raises(InvalidParameterError, match="MachineSpec"):
                 cls(None, 7)
+            with pytest.raises(TypeError):
+                cls(seed=7)  # bare keyword options are gone too
