@@ -40,22 +40,30 @@ def with_retry(
     policy: RetryPolicy | None = None,
     retryable: tuple[type[BaseException], ...] = (ReproError,),
     detail: str = "",
+    stream=None,
 ):
     """Run ``fn`` retrying injected transient faults under ``policy``.
 
     Retries happen only while the clock carries an injector whose
     recovery switch is on; without one, the first exception propagates
     untouched (the fault-free fast path adds no try/except overhead
-    beyond this wrapper).  Backoff is charged to the clock under the
-    ``sync`` category and every retry is recorded as a recovery event.
+    beyond this wrapper).  Backoff is charged under the ``sync`` category
+    and every retry is recorded as a recovery event.
+
+    ``stream`` (a :class:`~repro.gpusim.streams.Stream`) is the timeline
+    the retries run on: the failed attempts' time and the backoff burn
+    that stream's track, not the host's.  The default is the host
+    timeline.
     """
     injector = getattr(clock, "injector", None)
     if injector is None:
         return fn()
     policy = policy or RetryPolicy()
+    track = getattr(stream, "track", "")
+    lane = getattr(stream, "span_attrs", {})
     attempt = 0
     while True:
-        t0 = clock.total_seconds
+        t0 = clock.track_end(track)
         try:
             return fn()
         except retryable as exc:
@@ -64,29 +72,29 @@ def with_retry(
             attempt += 1
             if attempt > policy.max_retries:
                 raise
+            prof = getattr(clock, "profiler", None)
             # The failed attempt's own charges (e.g. the PCIe latency a
             # failed copy burned) are retry cost, not useful transfer
             # time: cover them with a retry-category span so latency
             # attribution can move them into the ``retry`` bucket.
-            prof = getattr(clock, "profiler", None)
-            if prof is not None and clock.total_seconds > t0:
+            t1 = clock.track_end(track)
+            if prof is not None and t1 > t0:
                 prof.add_span(
-                    f"retry {site} attempt", t0, clock.total_seconds,
-                    category="retry", attempt=attempt,
+                    f"retry {site} attempt", t0, t1, category="retry",
+                    attempt=attempt, max_retries=policy.max_retries, **lane,
                 )
             # The backoff charge as a span, so retries show up in the
             # run's trace (and in request critical paths) with the same
             # trace context as the work being retried.
-            from ..obs.spans import clock_span
-
-            with clock_span(
-                clock, f"retry {site}", category="retry",
-                attempt=attempt, max_retries=policy.max_retries,
-            ):
-                clock.charge(
-                    "sync", policy.backoff(attempt), count=1.0,
-                    detail=f"retry backoff {site}"
-                    + (f" {detail}" if detail else ""),
+            start, end = clock.charge(
+                "sync", policy.backoff(attempt), count=1.0,
+                detail=f"retry backoff {site}" + (f" {detail}" if detail else ""),
+                track=track,
+            )
+            if prof is not None:
+                prof.add_span(
+                    f"retry {site}", start, end, category="retry",
+                    attempt=attempt, max_retries=policy.max_retries, **lane,
                 )
             injector.record_recovery(
                 site, "retry",

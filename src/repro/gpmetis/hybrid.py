@@ -55,7 +55,7 @@ from ..gpusim.device import Device
 from ..gpusim.memory import DeviceArray
 from ..gpusim.simt import threads_for_items
 from ..gpusim.streams import d2h_async, h2d_async
-from ..gpusim.transfer import d2h, h2d, transfer_graph_to_device
+from ..gpusim.transfer import CSR_ARRAYS, d2h
 from ..mtmetis.initpart import parallel_recursive_bisection
 from ..mtmetis.partitioner import MtMetis
 from ..obs.spans import clock_span
@@ -136,7 +136,9 @@ def run_hybrid(
     # ------------------------------------------------------------------
     # 0. Schedule selection: double-buffered async streams, unless the
     #    staging residency would blow the device budget (then single-
-    #    buffer — the old serial transfer schedule — not OOM-evacuate).
+    #    buffer — the serial schedule — not OOM-evacuate).  The serial
+    #    schedule is the same code on the host stream: copies and kernels
+    #    charge the host cursor and every wait/synchronize is a no-op.
     # ------------------------------------------------------------------
     use_async = opts.async_streams
     if use_async:
@@ -149,39 +151,34 @@ def run_hybrid(
                 f"exceeds device memory ({plan.device_bytes} B); "
                 "falling back to the single-buffer serial schedule"
             )
-    copy_s = dev.stream("copy") if use_async else None
-    compute_s = dev.stream("compute") if use_async else None
     if use_async:
-        # CUDA default-stream idiom: every kernel launched below lands on
-        # the compute stream without threading a parameter through the
-        # kernel helpers.
-        dev.default_stream = compute_s
+        copy_s, compute_s = dev.stream("copy"), dev.stream("compute")
+    else:
+        copy_s = compute_s = dev.host_stream
+    # CUDA default-stream idiom: every kernel launched below lands on the
+    # compute stream without threading a parameter through the kernel
+    # helpers.
+    dev.default_stream = compute_s
 
     # ------------------------------------------------------------------
     # 1. Host -> device.
     # ------------------------------------------------------------------
     clock.set_phase("transfer")
-    ev_vwgt = None
     try:
-        if use_async:
-            # Upload on the copy stream.  Matching only needs the three
-            # structure arrays; vwgt's first consumer is the contraction,
-            # so its copy stays in flight behind the level-0 match/cmap
-            # kernels — the upload half of the double buffer.
-            d_csr = {}
-            events = {}
-            for name, arr in (
-                ("adjp", graph.adjp), ("adjncy", graph.adjncy),
-                ("adjwgt", graph.adjwgt), ("vwgt", graph.vwgt),
-            ):
-                d_csr[name], events[name] = h2d_async(
-                    copy_s, arr, machine.interconnect, label=f"csr.{name}"
-                )
-            for name in ("adjp", "adjncy", "adjwgt"):
-                compute_s.wait(events[name])
-            ev_vwgt = events["vwgt"]
-        else:
-            d_csr = transfer_graph_to_device(dev, graph, machine.interconnect)
+        # Upload on the copy stream.  Matching only needs the three
+        # structure arrays; vwgt's first consumer is the contraction, so
+        # its copy stays in flight behind the level-0 match/cmap kernels
+        # — the upload half of the double buffer.
+        d_csr = {}
+        events = {}
+        for name in CSR_ARRAYS:
+            d_csr[name], events[name] = h2d_async(
+                copy_s, getattr(graph, name), machine.interconnect,
+                label=f"csr.{name}",
+            )
+        for name in ("adjp", "adjncy", "adjwgt"):
+            compute_s.wait(events[name])
+        ev_vwgt = events["vwgt"]
     except RECOVERABLE as exc:
         if unrecoverable(exc):
             raise
@@ -230,9 +227,9 @@ def run_hybrid(
 
         def copy_out(name, darr):
             try:
-                copy_s.wait(compute_s.record())
                 d2h_async(
-                    copy_s, darr, machine.interconnect, label=f"coarse.{name}"
+                    copy_s, darr, machine.interconnect, label=f"coarse.{name}",
+                    after=(compute_s.record(),),
                 )
             except TransferError as exc:
                 if unrecoverable(exc):
@@ -259,31 +256,25 @@ def run_hybrid(
                     rng, fuse_resolve=use_async,
                 )
                 d_cmap, n_coarse = gpu_build_cmap(dev, d_match, n_threads)
+                # The contraction is vwgt's first consumer: release the
+                # compute stream only once the in-flight upload landed.
+                compute_s.wait(ev_vwgt)
                 copy_out = None
-                if use_async:
-                    # The contraction is vwgt's first consumer: release the
-                    # compute stream only once the in-flight upload landed.
-                    if ev_vwgt is not None:
-                        compute_s.wait(ev_vwgt)
-                        ev_vwgt = None
-                    # The loop-exit test is decidable before contracting, so
-                    # the last level's coarse mirror downloads while its own
-                    # contraction kernels still run.
-                    will_stop = (
-                        n_coarse <= stop_at
-                        or (1.0 - n_coarse / nv) < opts.min_shrink
-                    )
-                    if will_stop:
-                        copy_out = make_copy_out()
+                # The loop-exit test is decidable before contracting, so
+                # under overlap the last level's coarse mirror downloads
+                # while its own contraction kernels still run.
+                if use_async and (
+                    n_coarse <= stop_at or (1.0 - n_coarse / nv) < opts.min_shrink
+                ):
+                    copy_out = make_copy_out()
                 outcome = gpu_contract(
                     dev, current.d_csr, current.graph, d_match, d_cmap, n_coarse,
                     n_threads, opts.merge_strategy, opts.merge_impl,
                     copy_out=copy_out,
                 )
-                if use_async:
-                    # The host paces the compute stream level by level (it
-                    # polls for the shrink factor); the copy stream floats.
-                    compute_s.synchronize()
+                # The host paces the compute stream level by level (it
+                # polls for the shrink factor); the copy stream floats.
+                compute_s.synchronize()
         except RECOVERABLE as exc:
             if unrecoverable(exc):
                 raise
@@ -325,8 +316,8 @@ def run_hybrid(
     #    uncoarsening (mt-metis).
     # ------------------------------------------------------------------
     clock.set_phase("transfer")
-    for name in ("adjp", "adjncy", "adjwgt", "vwgt"):
-        if use_async and not fell_back and name in downloaded:
+    for name in CSR_ARRAYS:
+        if not fell_back and name in downloaded:
             # Already shipped by the copy stream, hidden behind the final
             # contraction (set_phase synchronized the streams above).
             continue
@@ -374,19 +365,13 @@ def run_hybrid(
     if gpu_levels and not fell_back:
         clock.set_phase("transfer")
         try:
-            if use_async:
-                # Prefetch: the partition vector rides the copy stream and
-                # the first projection kernel waits on its event instead of
-                # the host blocking on the copy.
-                d_part, ev_part = h2d_async(
-                    copy_s, part.astype(np.int64), machine.interconnect,
-                    label="part",
-                )
-                compute_s.wait(ev_part)
-            else:
-                d_part = h2d(
-                    dev, part.astype(np.int64), machine.interconnect, label="part"
-                )
+            # Prefetch: the partition vector rides the copy stream and the
+            # first projection kernel waits on its event instead of the
+            # host blocking on the copy.
+            d_part, ev_part = h2d_async(
+                copy_s, part.astype(np.int64), machine.interconnect, label="part"
+            )
+            compute_s.wait(ev_part)
         except RECOVERABLE as exc:
             if unrecoverable(exc):
                 raise
@@ -428,10 +413,9 @@ def run_hybrid(
                             opts.ubfactor, opts.refine_passes, n_threads,
                         )
                         cut_after = edge_cut(level.graph, d_part.data)
-                        if use_async:
-                            # Host reads the cut between levels: pace the
-                            # compute stream here too.
-                            compute_s.synchronize()
+                        # Host reads the cut between levels: pace the
+                        # compute stream here too.
+                        compute_s.synchronize()
                 except RECOVERABLE as exc:
                     if unrecoverable(exc):
                         raise
@@ -469,15 +453,11 @@ def run_hybrid(
             if not abandoned:
                 clock.set_phase("transfer")
                 try:
-                    if use_async:
-                        copy_s.wait(compute_s.record())
-                        part, ev_final = d2h_async(
-                            copy_s, d_part, machine.interconnect,
-                            label="part.final",
-                        )
-                        ev_final.synchronize()
-                    else:
-                        part = d2h(d_part, machine.interconnect, label="part.final")
+                    part, ev_final = d2h_async(
+                        copy_s, d_part, machine.interconnect,
+                        label="part.final", after=(compute_s.record(),),
+                    )
+                    ev_final.synchronize()
                 except TransferError as exc:
                     if unrecoverable(exc):
                         raise

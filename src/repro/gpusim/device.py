@@ -45,12 +45,21 @@ class Device:
     #: Opt-in data-race sanitizer (see :mod:`repro.gpusim.sanitizer`).
     #: ``None`` disables all access recording — the default fast path.
     sanitizer: object | None = None
-    #: When set (a :class:`~repro.gpusim.streams.Stream`), kernels
-    #: launched without an explicit ``stream=`` argument enqueue on it —
-    #: the CUDA default-stream idiom, so engine code can route every
-    #: kernel of a region onto a compute stream without threading a
-    #: parameter through each kernel helper.
+    #: The :class:`~repro.gpusim.streams.Stream` that kernels launched
+    #: without an explicit ``stream=`` argument enqueue on — the CUDA
+    #: default-stream idiom, so engine code can route every kernel of a
+    #: region onto a compute stream without threading a parameter
+    #: through each kernel helper.  Defaults to :attr:`host_stream`.
     default_stream: object | None = None
+    #: The host timeline as a stream: charges land on the host cursor.
+    host_stream: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        from .streams import Stream
+
+        self.host_stream = Stream(self)
+        if self.default_stream is None:
+            self.default_stream = self.host_stream
 
     def stream(self, name: str):
         """Create a named asynchronous stream on this device."""
@@ -134,9 +143,8 @@ class KernelContext:
         self.device = device
         self.name = name
         self.n_threads = n_threads
-        #: The stream this launch enqueues on: the explicit argument, the
-        #: device's default stream, or ``None`` for the legacy synchronous
-        #: timeline (charges land on the host cursor).
+        #: The stream this launch enqueues on: the explicit argument or
+        #: the device's default stream (the host stream unless rerouted).
         self.stream = stream if stream is not None else device.default_stream
         self._transactions = 0.0
         #: Transactions beyond the perfectly-coalesced minimum: these are
@@ -331,19 +339,8 @@ class KernelContext:
     def _commit(self) -> None:
         spec = self.device.spec
         stream = self.stream
-        clock = self.device.clock
-        if stream is None:
-            t_start = clock.total_seconds
-            charge = clock.charge
-        else:
-            # Async launch: the kernel occupies the stream's track from its
-            # enqueue point; the host cursor does not advance.
-            t_start = stream.cursor
-
-            def charge(category, seconds, count=0.0, detail=""):
-                clock.charge_at(
-                    stream.track, category, seconds, count=count, detail=detail
-                )
+        charge = stream.charge
+        t_start = stream.cursor
 
         streamed = (
             self._transactions - self._random_transactions - self._cached_transactions
@@ -402,18 +399,17 @@ class KernelContext:
         else:
             launch_bound = "compute"
 
-        profiler = getattr(clock, "profiler", None)
+        profiler = getattr(self.device.clock, "profiler", None)
         if profiler is not None:
             moved = self._transactions * spec.transaction_bytes
             coalescing = (
                 min(1.0, self._bytes_requested / moved) if moved
                 else (1.0 if self._bytes_requested <= 0.0 else 0.0)
             )
-            extra = {} if stream is None else {"stream": stream.name}
             profiler.add_span(
                 self.name,
                 t_start,
-                clock.total_seconds if stream is None else stream.cursor,
+                stream.cursor,
                 category="kernel",
                 threads=self.n_threads,
                 transactions=self._transactions,
@@ -422,5 +418,5 @@ class KernelContext:
                 compute_ops=self._compute_ops,
                 atomic_ops=self._atomic_ops,
                 bound=launch_bound,
-                **extra,
+                **stream.span_attrs,
             )

@@ -4,7 +4,11 @@ The paper counts CPU<->GPU transfer time in GP-metis's runtime (Table II
 note: "this time includes the time to transfer the graph between CPU and
 the GPU"), and its central design point is *avoiding* most transfers by
 keeping the fine levels on the GPU.  Transfers use the interconnect's
-alpha-beta model.
+alpha-beta model.  Every copy runs on a
+:class:`~repro.gpusim.streams.Stream`: :func:`h2d`/:func:`d2h` on the
+device's host stream (the host cursor), the async copies of
+:mod:`repro.gpusim.streams` on a named stream's track, through the same
+code.
 
 When a :class:`~repro.faults.FaultInjector` rides the device clock, each
 copy becomes a *reliable* transfer: injected failures and corruptions
@@ -25,21 +29,10 @@ from ..runtime.machine import InterconnectSpec
 from .device import Device
 from .memory import DeviceArray
 
-__all__ = ["h2d", "d2h", "transfer_graph_to_device"]
+__all__ = ["CSR_ARRAYS", "h2d", "d2h", "transfer_graph_to_device"]
 
-
-def _transfer_span(dev: Device, direction: str, label: str, t_start: float, nbytes: int) -> None:
-    """Emit one PCIe-transfer span when a profiler observes the clock."""
-    profiler = getattr(dev.clock, "profiler", None)
-    if profiler is not None:
-        profiler.add_span(
-            f"{direction}.{label}" if label else direction,
-            t_start,
-            dev.clock.total_seconds,
-            category="transfer",
-            direction=direction,
-            bytes=nbytes,
-        )
+#: The four CSR arrays of a graph, in upload order.
+CSR_ARRAYS = ("adjp", "adjncy", "adjwgt", "vwgt")
 
 
 def _corrupt(buf: np.ndarray, seed_parts) -> None:
@@ -51,92 +44,92 @@ def _corrupt(buf: np.ndarray, seed_parts) -> None:
     flat[idx] = ~flat[idx] if np.issubdtype(flat.dtype, np.integer) else -flat[idx] - 1
 
 
-def _fire_transfer_faults(dev: Device, site: str, label: str, net: InterconnectSpec):
-    """(injector, fired specs) for one copy attempt; hard failures raise
-    after burning the wire latency (the DMA engine started, then died)."""
+def _copy_once(stream, direction: str, src, net: InterconnectSpec, label: str):
+    """One copy attempt on ``stream``: fire the ``transfer.<direction>``
+    fault site, charge the alpha-beta cost, count it, emit its span, then
+    verify the received buffer end to end against its source.
+
+    ``src`` is the host array (``"h2d"``, returns a new device array) or
+    the device array (``"d2h"``, returns a host copy).  A hard failure
+    burns the wire latency first (the DMA engine started, then died); a
+    corruption caught by the verify raises like a failure, so both are
+    retryable.
+    """
+    h2d = direction == "h2d"
+    if not h2d:
+        src._require_live()
+    dev = stream.device
     injector = getattr(dev.clock, "injector", None)
-    if injector is None:
-        return None, []
-    fired = injector.fire(site, label)
+    fired = [] if injector is None else injector.fire(f"transfer.{direction}", label)
     for spec in fired:
         if spec.kind == "fail":
-            dev.clock.charge(
+            stream.charge(
                 "transfer_latency", net.pcie_latency_seconds, count=1.0,
                 detail=f"{label} (failed)",
             )
             injector.raise_for(spec, label)
-    return injector, fired
-
-
-def _h2d_once(
-    dev: Device, host: np.ndarray, net: InterconnectSpec, label: str
-) -> DeviceArray:
-    injector, fired = _fire_transfer_faults(dev, "transfer.h2d", label, net)
-    darr = dev.adopt(host.copy(), label=label)
-    seconds = net.pcie_seconds(host.nbytes)
-    t_start = dev.clock.total_seconds
-    dev.clock.charge("transfer_latency", net.pcie_latency_seconds, count=1.0, detail=label)
-    dev.clock.charge(
-        "transfer_bytes", seconds - net.pcie_latency_seconds,
-        count=float(host.nbytes), detail=label,
+    darr = dev.adopt(src.copy(), label=label) if h2d else src
+    nbytes = int(src.nbytes)
+    start, _ = stream.charge(
+        "transfer_latency", net.pcie_latency_seconds, count=1.0, detail=label
     )
-    dev.stats.h2d_transfers += 1
-    dev.stats.h2d_bytes += int(host.nbytes)
-    _transfer_span(dev, "h2d", label, t_start, int(host.nbytes))
+    _, end = stream.charge(
+        "transfer_bytes", net.pcie_seconds(nbytes) - net.pcie_latency_seconds,
+        count=float(nbytes), detail=label,
+    )
+    stats = dev.stats
+    if h2d:
+        stats.h2d_transfers += 1
+        stats.h2d_bytes += nbytes
+        received, sent, salt, seq = darr.data, src, 0xC0, stats.h2d_transfers
+    else:
+        stats.d2h_transfers += 1
+        stats.d2h_bytes += nbytes
+        received, sent, salt, seq = darr.data.copy(), darr.data, 0xD2, stats.d2h_transfers
+    profiler = getattr(dev.clock, "profiler", None)
+    if profiler is not None:
+        profiler.add_span(
+            f"{direction}.{label}" if label else direction, start, end,
+            category="transfer", direction=direction, bytes=nbytes,
+            **stream.span_attrs,
+        )
     for spec in fired:
         if spec.kind == "corrupt":
-            _corrupt(darr.data, [0xC0, injector.plan.seed, dev.stats.h2d_transfers])
-    if fired and not np.array_equal(darr.data, host):
-        # End-to-end verify caught the corruption: release the garbage
-        # allocation and surface it as a failed (retryable) copy.
-        darr.free()
+            _corrupt(received, [salt, injector.plan.seed, seq])
+    if fired and not np.array_equal(received, sent):
+        if h2d:
+            # Release the garbage allocation before surfacing the failed
+            # (retryable) copy.
+            darr.free()
         injector.raise_for(next(s for s in fired if s.kind == "corrupt"), label)
-    return darr
+    return darr if h2d else received
+
+
+def reliable_copy(stream, direction: str, src, net: InterconnectSpec, label: str):
+    """A copy on ``stream`` with transient injected faults retried under
+    the standard backoff; the final error (or a device OOM, which
+    retrying cannot fix) propagates.  The one implementation behind the
+    synchronous copies here and the async ones in
+    :mod:`repro.gpusim.streams`."""
+    return with_retry(
+        lambda: _copy_once(stream, direction, src, net, label),
+        stream.device.clock, f"transfer.{direction}",
+        retryable=(TransferError,), detail=label, stream=stream,
+    )
 
 
 def h2d(
     dev: Device, host: np.ndarray, net: InterconnectSpec, label: str = ""
 ) -> DeviceArray:
-    """cudaMemcpy host->device: allocates and charges the PCIe model.
-
-    Transient injected faults are retried with backoff; the final error
-    (or a device OOM, which retrying cannot fix) propagates.
-    """
-    return with_retry(
-        lambda: _h2d_once(dev, host, net, label),
-        dev.clock, "transfer.h2d", retryable=(TransferError,), detail=label,
-    )
-
-
-def _d2h_once(darr: DeviceArray, net: InterconnectSpec, label: str) -> np.ndarray:
-    darr._require_live()
-    dev = darr.device
-    injector, fired = _fire_transfer_faults(dev, "transfer.d2h", label, net)
-    seconds = net.pcie_seconds(darr.nbytes)
-    t_start = dev.clock.total_seconds
-    dev.clock.charge("transfer_latency", net.pcie_latency_seconds, count=1.0, detail=label)
-    dev.clock.charge(
-        "transfer_bytes", seconds - net.pcie_latency_seconds,
-        count=float(darr.nbytes), detail=label,
-    )
-    dev.stats.d2h_transfers += 1
-    dev.stats.d2h_bytes += int(darr.nbytes)
-    _transfer_span(dev, "d2h", label, t_start, int(darr.nbytes))
-    out = darr.data.copy()
-    for spec in fired:
-        if spec.kind == "corrupt":
-            _corrupt(out, [0xD2, injector.plan.seed, dev.stats.d2h_transfers])
-    if fired and not np.array_equal(out, darr.data):
-        injector.raise_for(next(s for s in fired if s.kind == "corrupt"), label)
-    return out
+    """cudaMemcpy host->device on the host stream: allocates and charges
+    the PCIe model."""
+    return reliable_copy(dev.host_stream, "h2d", host, net, label)
 
 
 def d2h(darr: DeviceArray, net: InterconnectSpec, label: str = "") -> np.ndarray:
-    """cudaMemcpy device->host; device allocation stays live until freed."""
-    return with_retry(
-        lambda: _d2h_once(darr, net, label),
-        darr.device.clock, "transfer.d2h", retryable=(TransferError,), detail=label,
-    )
+    """cudaMemcpy device->host on the host stream; the device allocation
+    stays live until freed."""
+    return reliable_copy(darr.device.host_stream, "d2h", darr, net, label)
 
 
 def transfer_graph_to_device(dev: Device, graph, net: InterconnectSpec) -> dict:
@@ -144,8 +137,6 @@ def transfer_graph_to_device(dev: Device, graph, net: InterconnectSpec) -> dict:
     "Initially, the graph information is copied to the GPU's global
     memory")."""
     return {
-        "adjp": h2d(dev, graph.adjp, net, label="csr.adjp"),
-        "adjncy": h2d(dev, graph.adjncy, net, label="csr.adjncy"),
-        "adjwgt": h2d(dev, graph.adjwgt, net, label="csr.adjwgt"),
-        "vwgt": h2d(dev, graph.vwgt, net, label="csr.vwgt"),
+        name: h2d(dev, getattr(graph, name), net, label=f"csr.{name}")
+        for name in CSR_ARRAYS
     }

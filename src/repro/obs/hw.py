@@ -40,7 +40,9 @@ __all__ = [
     "BOUND_KINDS",
     "KernelRoofline",
     "kernel_rooflines",
+    "gpu_ratios",
     "gpu_section",
+    "pcie_ratios",
     "pcie_section",
     "phase_timeline",
     "transfer_avoidance_ratio",
@@ -185,6 +187,25 @@ def kernel_rooflines(device_stats, gpu: GpuSpec) -> list[KernelRoofline]:
     return out
 
 
+def gpu_ratios(
+    kernel_seconds: float, bytes_moved: float, compute_ops: float,
+    bytes_requested: float, gpu: GpuSpec,
+) -> dict:
+    """Aggregate DRAM/compute utilization and coalescing from raw kernel
+    totals (one run's, or a whole drain's)."""
+    return {
+        "dram_utilization": (
+            _clamp01(bytes_moved / kernel_seconds / gpu.bandwidth_bytes_per_sec)
+            if kernel_seconds else 0.0
+        ),
+        "compute_utilization": (
+            _clamp01(compute_ops / kernel_seconds / gpu.compute_ops_per_sec)
+            if kernel_seconds else 0.0
+        ),
+        "coalescing": _clamp01(bytes_requested / bytes_moved) if bytes_moved else 1.0,
+    }
+
+
 def gpu_section(device_stats, gpu: GpuSpec) -> dict:
     """The ``hw.gpu`` ledger block: kernels + aggregate utilization."""
     rooflines = kernel_rooflines(device_stats, gpu)
@@ -194,18 +215,9 @@ def gpu_section(device_stats, gpu: GpuSpec) -> dict:
     bound_seconds = {kind: 0.0 for kind in BOUND_KINDS}
     for r in rooflines:
         bound_seconds[r.bound] += r.seconds
-    dram_util = (
-        _clamp01(total_bytes / total_seconds / gpu.bandwidth_bytes_per_sec)
-        if total_seconds else 0.0
-    )
-    compute_util = (
-        _clamp01(total_ops / total_seconds / gpu.compute_ops_per_sec)
-        if total_seconds else 0.0
-    )
     requested = sum(
         k.bytes_requested for k in device_stats.kernels.values()
     )
-    coalescing = _clamp01(requested / total_bytes) if total_bytes else 1.0
     return {
         "peak_bandwidth": gpu.bandwidth_bytes_per_sec,
         "peak_flops": gpu.compute_ops_per_sec,
@@ -213,9 +225,7 @@ def gpu_section(device_stats, gpu: GpuSpec) -> dict:
         "kernel_seconds": total_seconds,
         "bytes_moved": total_bytes,
         "compute_ops": total_ops,
-        "dram_utilization": dram_util,
-        "compute_utilization": compute_util,
-        "coalescing": coalescing,
+        **gpu_ratios(total_seconds, total_bytes, total_ops, requested, gpu),
         "bound_seconds": bound_seconds,
         "kernels": [asdict(r) for r in rooflines],
     }
@@ -231,6 +241,21 @@ def transfer_span_bytes(root) -> float:
     )
 
 
+def pcie_ratios(
+    transfers: int, nbytes: float, seconds: float, exposed: float,
+    net: InterconnectSpec,
+) -> dict:
+    """Overlap, beta (bandwidth) and alpha (latency) shares of PCIe time
+    from raw transfer totals (one run's, or a whole drain's)."""
+    if not seconds:
+        return {"overlap_ratio": 0.0, "utilization": 0.0, "alpha_share": 0.0}
+    return {
+        "overlap_ratio": _clamp01(1.0 - exposed / seconds),
+        "utilization": _clamp01(nbytes / net.pcie_bytes_per_sec / seconds),
+        "alpha_share": _clamp01(transfers * net.pcie_latency_seconds / seconds),
+    }
+
+
 def pcie_section(root, net: InterconnectSpec) -> dict:
     """The ``hw.pcie`` block from a run's transfer spans.
 
@@ -243,8 +268,6 @@ def pcie_section(root, net: InterconnectSpec) -> dict:
     nbytes = float(sum(s.attrs.get("bytes", 0.0) for s in spans))
     seconds = float(sum(s.duration for s in spans))
     transfers = len(spans)
-    util = _clamp01(nbytes / net.pcie_bytes_per_sec / seconds) if seconds else 0.0
-    alpha = transfers * net.pcie_latency_seconds
     # Exposed seconds: transfer wall time NOT hidden behind a concurrent
     # kernel.  On the serial schedule every transfer is exposed; the
     # async-streams schedule's whole win is shrinking this number.
@@ -256,9 +279,7 @@ def pcie_section(root, net: InterconnectSpec) -> dict:
         "bytes": nbytes,
         "seconds": seconds,
         "exposed_seconds": exposed,
-        "overlap_ratio": _clamp01(1.0 - exposed / seconds) if seconds else 0.0,
-        "utilization": util,
-        "alpha_share": _clamp01(alpha / seconds) if seconds else 0.0,
+        **pcie_ratios(transfers, nbytes, seconds, exposed, net),
         "peak_bandwidth": net.pcie_bytes_per_sec,
     }
 

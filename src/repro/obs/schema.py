@@ -23,10 +23,9 @@ __all__ = [
 ]
 
 #: Schema tag of one run-ledger JSONL record (see repro.obs.ledger).
-#: /2 added the optional hardware-utilization block (``hw``); /1 records
-#: (no hw data) still validate so committed ledgers stay readable.
+#: /2 added the optional hardware-utilization block (``hw``).
 LEDGER_SCHEMA = "repro.obs.ledger/2"
-LEDGER_SCHEMAS_ACCEPTED = ("repro.obs.ledger/1", "repro.obs.ledger/2")
+LEDGER_SCHEMAS_ACCEPTED = (LEDGER_SCHEMA,)
 #: Schema tag of a regression-gate policy file (see repro.obs.gate).
 GATE_POLICY_SCHEMA = "repro.obs.gate-policy/1"
 #: Schema tag of a service-level-objective policy file (see repro.obs.slo).
@@ -178,7 +177,7 @@ def validate_ledger_record(doc: dict) -> None:
     _require(isinstance(metrics, dict), "ledger record missing metrics block")
     for kind in ("counters", "gauges", "histograms"):
         _require(isinstance(metrics.get(kind), dict), f"metrics missing {kind!r}")
-    if doc.get("schema") != "repro.obs.ledger/1" and "hw" in doc:
+    if "hw" in doc:
         from .hw import validate_hw_section
 
         try:

@@ -14,16 +14,19 @@ memory traffic, per-edge compute) or *overhead* (grow with the number of
 levels/passes: kernel launches, barriers, message latencies).  The
 extrapolation scales the two groups by different factors.
 
-Overlap-aware tracks (PR 10): the clock keeps a *host cursor* plus one
-cursor per named asynchronous track (a simulated CUDA stream).  A plain
-:meth:`~SimClock.charge` advances the host cursor — serial semantics,
-identical to the original sum-of-events clock.  :meth:`~SimClock.charge_at`
-places an event on a track at an explicit start time *without* advancing
-the host, so concurrent streams advance on parallel timelines and
-:attr:`~SimClock.total_seconds` (the wall clock) becomes the busy-union of
-the tracks — the max of overlapping spans, mirroring how ``ThreadPoolSim``
-folds CPU threads — never the serial sum.  :attr:`~SimClock.busy_seconds`
-keeps the serial sum for utilization math.
+One timeline, a host stream and named tracks: the clock keeps a *host
+cursor* plus one end cursor per named asynchronous track (a simulated
+CUDA stream).  :meth:`~SimClock.charge` is the single entry point.  With
+the default empty ``track`` it charges the host stream: the event lands
+at the host cursor and advances it, which is the serial sum-of-events
+clock.  With a named track it places the event at that track's enqueue
+point, ``max(track end, host now)``, *without* advancing the host, so
+concurrent streams advance on parallel timelines and
+:attr:`~SimClock.total_seconds` (the wall clock) becomes the busy-union
+of the host and the tracks once they are synchronized — the max of
+overlapping spans, mirroring how ``ThreadPoolSim`` folds CPU threads,
+never the serial sum.  :attr:`~SimClock.busy_seconds` keeps the serial
+sum for utilization math and for the phase/category shares.
 """
 
 from __future__ import annotations
@@ -57,9 +60,9 @@ KNOWN_CATEGORIES = VOLUME_CATEGORIES | OVERHEAD_CATEGORIES
 class CostEvent:
     """One charge against the simulated clock.
 
-    ``track`` is empty for ordinary host-timeline charges; asynchronous
-    charges (:meth:`SimClock.charge_at`) carry the stream's track name and
-    an explicit ``start`` on the shared timeline (host events keep the
+    ``track`` is empty for host-stream charges; charges on a named track
+    (:meth:`SimClock.charge` with ``track=``) carry the stream's track name
+    and an explicit ``start`` on the shared timeline (host events keep the
     ``-1.0`` sentinel — their position is implied by accumulation order).
     """
 
@@ -94,7 +97,8 @@ class SimClock:
     #: Host-timeline cursor.  Equals the sum of host-event seconds for a
     #: purely serial run; async tracks can run ahead of it until synced.
     _now: float = 0.0
-    #: End cursor of each named async track (simulated stream).
+    #: End cursor of each named async track (simulated stream); the host
+    #: stream's cursor is ``_now`` and never enters this dict.
     _tracks: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -115,11 +119,21 @@ class SimClock:
         return self._phase
 
     def charge(
-        self, category: str, seconds: float, count: float = 0.0, detail: str = ""
-    ) -> None:
-        """Record a cost event in the current phase.
+        self,
+        category: str,
+        seconds: float,
+        count: float = 0.0,
+        detail: str = "",
+        track: str = "",
+    ) -> tuple[float, float]:
+        """Record a cost event in the current phase; return its interval.
 
-        ``category`` must belong to :data:`VOLUME_CATEGORIES` or
+        The empty ``track`` is the host stream: the event starts at the
+        host cursor and advances it.  A named track is an asynchronous
+        stream: the event starts at :meth:`track_end` — a stream command
+        cannot begin before the commands already queued on its stream,
+        nor before the host issued it — and only the track's end cursor
+        moves.  ``category`` must belong to :data:`VOLUME_CATEGORIES` or
         :data:`OVERHEAD_CATEGORIES`; an unknown category would silently
         land in neither scaling group of :meth:`extrapolated_seconds`.
         """
@@ -130,46 +144,16 @@ class SimClock:
                 f"unknown cost category {category!r}; known categories: "
                 f"{', '.join(sorted(KNOWN_CATEGORIES))}"
             )
-        self.events.append(CostEvent(self._phase, category, seconds, count, detail))
-        self._now += seconds
-
-    def charge_at(
-        self,
-        track: str,
-        category: str,
-        seconds: float,
-        start: float | None = None,
-        count: float = 0.0,
-        detail: str = "",
-    ) -> tuple[float, float]:
-        """Record an asynchronous cost event on a named track.
-
-        The event occupies ``[start, start + seconds]`` on the shared
-        timeline; ``start`` defaults to the track's enqueue point,
-        ``max(track end, host now)`` — a stream command cannot begin
-        before the commands already queued on its stream, nor before the
-        host issued it.  The host cursor does *not* advance; the track's
-        end cursor does.  Returns the ``(start, end)`` interval so callers
-        can emit matching profiler spans.
-        """
         if not track:
-            raise ValueError("charge_at requires a non-empty track name")
-        if seconds < 0:
-            raise ValueError(f"negative cost: {seconds}")
-        if category not in KNOWN_CATEGORIES:
-            raise ValueError(
-                f"unknown cost category {category!r}; known categories: "
-                f"{', '.join(sorted(KNOWN_CATEGORIES))}"
-            )
-        if start is None:
-            start = self.track_end(track)
-        elif start < 0:
-            raise ValueError(f"negative track start: {start}")
-        end = start + seconds
+            start = self._now
+            self._now = end = start + seconds
+            self.events.append(CostEvent(self._phase, category, seconds, count, detail))
+            return start, end
+        start = self.track_end(track)
+        self._tracks[track] = end = start + seconds
         self.events.append(
             CostEvent(self._phase, category, seconds, count, detail, track, start)
         )
-        self._tracks[track] = max(self._tracks.get(track, 0.0), end)
         return start, end
 
     # ------------------------------------------------------------------
@@ -309,10 +293,12 @@ class SimClock:
                 )
 
     def breakdown(self, by: str | None = None) -> str | dict[str, float]:
-        """Phase/category shares of the total modeled time.
+        """Phase/category shares of the charged (busy) time.
 
         With ``by="phase"`` or ``by="category"``, returns percent shares
-        (values summing to 100 when any time was charged).  With no
+        of :attr:`busy_seconds` (values summing to 100 when any time was
+        charged; under overlap the wall clock is smaller than the sum of
+        the events, so it cannot be the denominator).  With no
         argument, returns the human-readable phase table for reports.
         """
         if by is not None:
@@ -322,7 +308,7 @@ class SimClock:
                 seconds = self.seconds_by_category()
             else:
                 raise ValueError(f"breakdown by must be 'phase' or 'category', got {by!r}")
-            total = self.total_seconds
+            total = self.busy_seconds
             if total <= 0:
                 return {key: 0.0 for key in seconds}
             return {key: 100.0 * value / total for key, value in seconds.items()}

@@ -52,8 +52,10 @@ from ..obs.critical import attribution_totals, request_entry
 from ..obs.hw import (
     BOUND_KINDS,
     exposed_span_seconds,
+    gpu_ratios,
     hw_metrics,
     hw_section,
+    pcie_ratios,
     transfer_avoidance_ratio,
 )
 from ..obs.ledger import (
@@ -666,23 +668,13 @@ class PartitionService:
         section["mpi"] = counters["mpi"]
         net = machine.interconnect
         p = agg["pcie"]
-        seconds = p["seconds"]
         section["pcie"] = {
             "transfers": p["transfers"],
             "bytes": p["bytes"],
-            "seconds": seconds,
+            "seconds": p["seconds"],
             "exposed_seconds": p["exposed_seconds"],
-            "overlap_ratio": (
-                min(1.0, max(0.0, 1.0 - p["exposed_seconds"] / seconds))
-                if seconds else 0.0
-            ),
-            "utilization": (
-                min(1.0, p["bytes"] / net.pcie_bytes_per_sec / seconds)
-                if seconds else 0.0
-            ),
-            "alpha_share": (
-                min(1.0, p["transfers"] * net.pcie_latency_seconds / seconds)
-                if seconds else 0.0
+            **pcie_ratios(
+                p["transfers"], p["bytes"], p["seconds"], p["exposed_seconds"], net
             ),
             "peak_bandwidth": net.pcie_bytes_per_sec,
             "bytes_per_request": agg["bytes_per_request"],
@@ -697,17 +689,9 @@ class PartitionService:
                 "kernel_seconds": ksec,
                 "bytes_moved": g["bytes_moved"],
                 "compute_ops": g["compute_ops"],
-                "dram_utilization": (
-                    min(1.0, g["bytes_moved"] / ksec / gpu_spec.bandwidth_bytes_per_sec)
-                    if ksec else 0.0
-                ),
-                "compute_utilization": (
-                    min(1.0, g["compute_ops"] / ksec / gpu_spec.compute_ops_per_sec)
-                    if ksec else 0.0
-                ),
-                "coalescing": (
-                    min(1.0, g["coalescing_weighted"] / g["bytes_moved"])
-                    if g["bytes_moved"] else 1.0
+                **gpu_ratios(
+                    ksec, g["bytes_moved"], g["compute_ops"],
+                    g["coalescing_weighted"], gpu_spec,
                 ),
                 "bound_seconds": g["bound_seconds"],
                 "kernels": [],

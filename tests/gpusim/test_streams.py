@@ -12,8 +12,9 @@ import pytest
 
 from repro.exceptions import TransferError
 from repro.faults import FaultPlan, FaultSpec, attach_injector
-from repro.gpusim import Device
+from repro.gpusim import Device, d2h, h2d
 from repro.gpusim.streams import d2h_async, h2d_async
+from repro.obs.spans import Profiler
 from repro.runtime.clock import SimClock
 from repro.runtime.machine import PAPER_MACHINE
 
@@ -132,3 +133,54 @@ class TestInjectedAsyncFaults:
             return c.total_seconds
 
         assert run() == run()
+
+
+class TestSyncAsyncParity:
+    """The host-stream copy and a ``stream("copy")`` copy are one
+    implementation: under the same fault plan they fire the same faults,
+    count the same stats and charge the same busy time, with the same
+    retry/transfer spans.  Only the ``stream`` span attribute differs."""
+
+    def _copy(self, direction, kind, on_stream):
+        clock = SimClock()
+        clock.set_phase("t")
+        injector = attach_injector(clock, FaultPlan(specs=(
+            FaultSpec(f"transfer.{direction}", kind, probability=1.0, max_fires=2),
+        )))
+        profiler = Profiler(clock)
+        dev = Device(PAPER_MACHINE.gpu, clock)
+        host = np.arange(1000, dtype=np.int64)
+        stream = dev.stream("copy")
+        if direction == "h2d":
+            out = (h2d_async(stream, host, NET)[0].data if on_stream
+                   else h2d(dev, host, NET).data)
+        else:
+            darr = dev.adopt(host.copy())
+            out = d2h_async(stream, darr, NET)[0] if on_stream else d2h(darr, NET)
+        clock.sync_tracks()
+        np.testing.assert_array_equal(out, host)  # both retries recovered
+        spans = [
+            (span.name, span.end - span.start,
+             {k: v for k, v in span.attrs.items() if k != "stream"},
+             span.attrs.get("stream"))
+            for span, _ in profiler.root.walk()
+            if span.category in ("retry", "transfer")
+        ]
+        # A fault event is stamped with the host time it fired at, which
+        # an async copy does not move; everything else must match.
+        events = [(e.site, e.kind, e.detail, e.category) for e in injector.events]
+        return events, dev.stats, clock.busy_seconds, spans
+
+    @pytest.mark.parametrize("direction", ["h2d", "d2h"])
+    @pytest.mark.parametrize("kind", ["fail", "corrupt"])
+    def test_host_and_copy_stream_agree(self, direction, kind):
+        sync = self._copy(direction, kind, on_stream=False)
+        overlapped = self._copy(direction, kind, on_stream=True)
+        assert overlapped[0] == sync[0]
+        assert [e[1] for e in sync[0]].count("retry") == 2
+        assert overlapped[1] == sync[1]
+        assert overlapped[2] == sync[2]
+        sync_spans, stream_spans = sync[3], overlapped[3]
+        assert [s[:3] for s in stream_spans] == [s[:3] for s in sync_spans]
+        assert {s[3] for s in sync_spans} == {None}
+        assert {s[3] for s in stream_spans} == {"copy"}

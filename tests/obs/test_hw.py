@@ -205,21 +205,6 @@ class TestSchemaValidation:
         with pytest.raises(SchemaError):
             validate_ledger_record(broken)
 
-    def test_v1_records_still_accepted(self, graph, tmp_path):
-        from repro.obs import ledger as ledger_mod
-        from repro.obs.schema import validate_ledger_record
-
-        path = tmp_path / "runs.jsonl"
-        ledger_mod.set_default_ledger(path)
-        try:
-            run_engine(graph, "metis")
-        finally:
-            ledger_mod.set_default_ledger(None)
-        record = ledger_mod.read_ledger(path)[-1]
-        record.pop("hw")
-        record["schema"] = "repro.obs.ledger/1"
-        validate_ledger_record(record)  # backward compatible
-
 
 class TestMachineArgument:
     def test_section_scored_against_given_machine(self, graph):

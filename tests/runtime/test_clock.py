@@ -65,6 +65,18 @@ class TestBreakdownShares:
         assert shares["launch"] == pytest.approx(50.0)
         assert shares["compute"] == pytest.approx(25.0)
 
+    @pytest.mark.parametrize("by", ["phase", "category"])
+    def test_shares_sum_to_100_under_overlap(self, by):
+        # Overlap makes wall time smaller than the sum of the events, so
+        # shares of the charged (busy) time are what sums to 100.
+        c = SimClock()
+        c.set_phase("coarsening-gpu")
+        c.charge("transfer_bytes", 1.0, track="stream:copy")
+        c.charge("compute", 2.0)  # host, overlapping the copy
+        c.sync_tracks()
+        assert (c.total_seconds, c.busy_seconds) == (2.0, 3.0)
+        assert sum(c.breakdown(by=by).values()) == pytest.approx(100.0)
+
     def test_empty_clock_all_zero(self):
         assert SimClock().breakdown(by="phase") == {}
         c = SimClock()
