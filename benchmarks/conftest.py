@@ -2,9 +2,9 @@
 
 The full evaluation grid (four graphs x four partitioners) runs once per
 session; individual table/figure benches render and assert against it.
-``benchmark.pedantic(..., rounds=1)`` is used for the heavy partitioner
-timings — the interesting numbers are the *modeled* seconds, which are
-deterministic, so statistical repetition buys nothing.
+Each bench calls the partitioner once, directly: the interesting numbers
+are the *modeled* seconds, which are deterministic, so statistical
+repetition buys nothing.
 """
 
 from __future__ import annotations
@@ -35,8 +35,3 @@ def small_graphs():
     return {
         name: load_dataset(name, scale=scale) for name, scale in BENCH_SCALES.items()
     }
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Time ``fn`` exactly once through pytest-benchmark."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import run_once
 from repro.api import make_partitioner
 from repro.graphs import bfs_order, load_dataset, permute, random_order, rcm_order
 
@@ -35,10 +34,10 @@ def _match_kernel_stats(result):
 
 
 @pytest.mark.parametrize("order", ["identity", "rcm", "bfs", "random"])
-def test_coalescing_by_order(benchmark, graphs_by_order, order):
+def test_coalescing_by_order(graphs_by_order, order):
     g = graphs_by_order[order]
     p = make_partitioner("gp-metis")
-    res = run_once(benchmark, p.partition, g, 32)
+    res = p.partition(g, 32)
     k = _match_kernel_stats(res)
     print(
         f"\n{order}: match kernel {k.memory_transactions:.0f} txns, "

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import run_once
 from repro.gpmetis.kernels.matching import consecutive_batches
 from repro.graphs import load_dataset
 from repro.mtmetis.matching import lockfree_match
@@ -35,8 +34,8 @@ def _match_with_width(graph, width):
 
 
 @pytest.mark.parametrize("width", WIDTHS)
-def test_conflicts_at_width(benchmark, graph, width):
-    match, stats = run_once(benchmark, _match_with_width, graph, width)
+def test_conflicts_at_width(graph, width):
+    match, stats = _match_with_width(graph, width)
     print(
         f"\nwidth={width}: conflicts={stats.conflicts} pairs={stats.pairs} "
         f"self={stats.self_matches}"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import run_once
 from repro.api import make_partitioner
 from repro.graphs import load_dataset
 from repro.runtime.machine import PAPER_MACHINE
@@ -30,9 +29,9 @@ def _merge_seconds(result) -> float:
 
 
 @pytest.mark.parametrize("strategy", ["hash", "sort"])
-def test_merge_strategy_timing(benchmark, graph, strategy):
+def test_merge_strategy_timing(graph, strategy):
     p = make_partitioner("gp-metis", merge_strategy=strategy)
-    res = run_once(benchmark, p.partition, graph, 64)
+    res = p.partition(graph, 64)
     print(f"\n{strategy}: merge kernels {_merge_seconds(res) * 1e3:.3f} ms")
     assert res.extras["merge_strategy"] == strategy
 

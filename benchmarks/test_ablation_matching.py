@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import run_once
 from repro.graphs import load_dataset
 from repro.serial import SerialMetis, SerialOptions, contract, sequential_match
 
@@ -22,10 +21,10 @@ def weighted_graph():
 
 
 @pytest.mark.parametrize("scheme", ["hem", "rm", "lem"])
-def test_matching_scheme_coarse_weight(benchmark, weighted_graph, scheme):
+def test_matching_scheme_coarse_weight(weighted_graph, scheme):
     g = weighted_graph
     rng = np.random.default_rng(7)
-    mres = run_once(benchmark, sequential_match, g, scheme, rng)
+    mres = sequential_match(g, scheme, rng)
     coarse, _ = contract(g, mres.match)
     ratio = coarse.total_edge_weight / g.total_edge_weight
     print(f"\n{scheme}: coarse edge weight ratio {ratio:.4f}, pairs {mres.pairs}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import run_once
 from repro.api import make_partitioner
 from repro.graphs import load_dataset
 
@@ -23,9 +22,9 @@ def graph():
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_method_cut_and_time(benchmark, graph, method):
+def test_method_cut_and_time(graph, method):
     p = make_partitioner(method)
-    res = run_once(benchmark, p.partition, graph, 32)
+    res = p.partition(graph, 32)
     q = res.quality(graph)
     print(
         f"\n{method}: cut={q.cut} imbalance={q.imbalance:.3f} "

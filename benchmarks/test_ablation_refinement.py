@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import run_once
 from repro.api import make_partitioner
 from repro.graphs import load_dataset
 from repro.mtmetis.refinement import refine_level
@@ -25,9 +24,9 @@ def graph():
 
 
 @pytest.mark.parametrize("passes", PASSES)
-def test_pass_budget_sweep(benchmark, graph, passes):
+def test_pass_budget_sweep(graph, passes):
     p = make_partitioner("gp-metis", refine_passes=passes)
-    res = run_once(benchmark, p.partition, graph, 32)
+    res = p.partition(graph, 32)
     print(f"\npasses={passes}: cut={res.quality(graph).cut}")
     assert res.quality(graph).imbalance <= 1.031
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import run_once
 from repro.api import make_partitioner
 from repro.gpmetis import GPMetisOptions, breakeven_estimate, gpu_stop_size
 from repro.graphs import load_dataset
@@ -26,9 +25,9 @@ def graph():
 
 
 @pytest.mark.parametrize("threshold", THRESHOLDS)
-def test_threshold_sweep(benchmark, graph, threshold):
+def test_threshold_sweep(graph, threshold):
     p = make_partitioner("gp-metis", gpu_threshold_min=threshold)
-    res = run_once(benchmark, p.partition, graph, 64)
+    res = p.partition(graph, 64)
     print(
         f"\nthreshold={threshold}: modeled {res.modeled_seconds * 1e3:.2f} ms, "
         f"gpu levels {res.extras['gpu_levels']}, cpu levels {res.extras['cpu_levels']}"

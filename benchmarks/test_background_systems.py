@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import run_once
 from repro.api import make_partitioner
 from repro.graphs import load_dataset, validate_partition
 
@@ -23,9 +22,9 @@ def graph():
 
 
 @pytest.mark.parametrize("method", SYSTEMS)
-def test_background_system(benchmark, graph, method):
+def test_background_system(graph, method):
     p = make_partitioner(method)
-    res = run_once(benchmark, p.partition, graph, 64)
+    res = p.partition(graph, 64)
     validate_partition(graph, res.part, 64, ubfactor=1.031)
     q = res.quality(graph)
     print(

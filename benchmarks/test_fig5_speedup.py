@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import run_once
 from repro.api import make_partitioner
 from repro.bench import check_paper_shape, fig5_series, render_fig5
 
@@ -18,17 +17,17 @@ METHODS = ("metis", "parmetis", "mt-metis", "gp-metis")
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("dataset", ("ldoor", "usa_roads"))
-def test_fig5_partitioner_timing(benchmark, small_graphs, method, dataset):
+def test_fig5_partitioner_timing(small_graphs, method, dataset):
     """Wall-clock of one partitioner run (modeled seconds go to Fig. 5)."""
     g = small_graphs[dataset]
     p = make_partitioner(method)
-    res = run_once(benchmark, p.partition, g, 64)
+    res = p.partition(g, 64)
     assert res.quality(g).imbalance <= 1.031
 
 
-def test_fig5_shape(benchmark, experiment):
+def test_fig5_shape(experiment):
     """The Fig. 5 claims hold under the paper-scale model."""
-    text = run_once(benchmark, render_fig5, experiment)
+    text = render_fig5(experiment)
     print("\n" + text)
     checks = check_paper_shape(experiment)
     failed = [c for c in checks if not c.holds]

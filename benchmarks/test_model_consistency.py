@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import run_once
 from repro.api import make_partitioner
 from repro.graphs import load_dataset
 
@@ -30,15 +29,10 @@ def volume(graph) -> float:
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_extrapolation_consistency(benchmark, two_scales, method):
+def test_extrapolation_consistency(two_scales, method):
     small, large = two_scales
-
-    def run_both():
-        rs = make_partitioner(method, seed=1).partition(small, 32)
-        rl = make_partitioner(method, seed=1).partition(large, 32)
-        return rs, rl
-
-    rs, rl = run_once(benchmark, run_both)
+    rs = make_partitioner(method, seed=1).partition(small, 32)
+    rl = make_partitioner(method, seed=1).partition(large, 32)
     factor = volume(large) / volume(small)
     predicted = rs.clock.extrapolated_seconds(factor)
     measured = rl.modeled_seconds

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import run_once
 from repro.gpmetis import MultiGpuGPMetis, MultiGpuOptions
 from repro.graphs import load_dataset, validate_partition
 from repro.runtime.machine import PAPER_MACHINE
@@ -26,10 +25,10 @@ def oversized_setup():
 
 
 @pytest.mark.parametrize("devices", DEVICE_COUNTS)
-def test_multigpu_scaling(benchmark, oversized_setup, devices):
+def test_multigpu_scaling(oversized_setup, devices):
     g, machine = oversized_setup
     p = MultiGpuGPMetis(MultiGpuOptions(num_devices=devices), machine=machine)
-    res = run_once(benchmark, p.partition, g, 64)
+    res = p.partition(g, 64)
     validate_partition(g, res.part, 64, ubfactor=1.05)
     peer = res.clock.seconds_for(category="transfer_bytes")
     print(

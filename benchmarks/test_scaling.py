@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import run_once
 from repro.bench import render_scaling, run_scaling_study
 from repro.graphs import load_dataset
 
@@ -24,11 +23,8 @@ def graph():
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_strong_scaling(benchmark, graph, method):
-    study = run_once(
-        benchmark, run_scaling_study, method, graph, 16,
-        processor_counts=COUNTS,
-    )
+def test_strong_scaling(graph, method):
+    study = run_scaling_study(method, graph, 16, processor_counts=COUNTS)
     print("\n" + render_scaling([study]))
     # Monotone non-trivial speedup up to the core count.
     assert study.efficiency_at(1) == pytest.approx(1.0)

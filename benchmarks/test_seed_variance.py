@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import run_once
 from repro.bench import run_method_on_graph
 from repro.graphs import load_dataset
 
@@ -24,13 +23,8 @@ def graph():
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_seed_spread(benchmark, graph, method):
-    def run_all():
-        return [
-            run_method_on_graph(method, graph, 16, seed=s) for s in SEEDS
-        ]
-
-    results = run_once(benchmark, run_all)
+def test_seed_spread(graph, method):
+    results = [run_method_on_graph(method, graph, 16, seed=s) for s in SEEDS]
     cuts = np.array([r.quality(graph).cut for r in results], dtype=np.float64)
     times = np.array([r.modeled_seconds for r in results])
     print(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import run_once
 from repro.api import make_partitioner
 from repro.graphs import load_dataset, validate_partition
 
@@ -22,9 +21,9 @@ def graph():
 
 
 @pytest.mark.parametrize("k", KS)
-def test_k_sweep(benchmark, graph, k):
+def test_k_sweep(graph, k):
     p = make_partitioner("gp-metis")
-    res = run_once(benchmark, p.partition, graph, k)
+    res = p.partition(graph, k)
     validate_partition(graph, res.part, k, ubfactor=1.05)
     q = res.quality(graph)
     print(

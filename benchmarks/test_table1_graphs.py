@@ -1,7 +1,7 @@
 """Experiment T1 — Table I: the four input graphs.
 
 Regenerates the Table I rows (paper sizes vs generated-analogue sizes)
-and benchmarks the generator of each family.  The structural acceptance
+and runs the generator of each family.  The structural acceptance
 criterion is the |E|/|V| ratio: each analogue must match its original's
 average degree within 15 %.
 """
@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import run_once
 from repro.bench import render_table1, table1_rows
 from repro.graphs import load_dataset
 from repro.graphs.datasets import PAPER_DATASETS
 
 
 @pytest.mark.parametrize("name", list(PAPER_DATASETS))
-def test_table1_generator(benchmark, name):
-    g = run_once(benchmark, load_dataset, name, scale=0.002)
+def test_table1_generator(name):
+    g = load_dataset(name, scale=0.002)
     g.validate()
     spec = PAPER_DATASETS[name]
     paper_deg = 2 * spec.paper_edges / spec.paper_vertices
@@ -28,8 +27,8 @@ def test_table1_generator(benchmark, name):
     )
 
 
-def test_table1_render(benchmark, experiment):
-    text = run_once(benchmark, render_table1, experiment)
+def test_table1_render(experiment):
+    text = render_table1(experiment)
     print("\n" + text)
     rows = table1_rows(experiment)
     assert len(rows) == 4

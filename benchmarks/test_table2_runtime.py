@@ -7,12 +7,11 @@ models' paper-scale seconds and assert the orderings the text states.
 
 from __future__ import annotations
 
-from conftest import run_once
 from repro.bench import render_table2, table2_rows
 
 
-def test_table2_render(benchmark, experiment):
-    text = run_once(benchmark, render_table2, experiment)
+def test_table2_render(experiment):
+    text = render_table2(experiment)
     print("\n" + text)
     rows = table2_rows(experiment)
     assert len(rows) == 4

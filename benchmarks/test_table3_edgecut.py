@@ -8,13 +8,12 @@ degradation from the finer-grain (more conflict-prone) implementation.
 
 from __future__ import annotations
 
-from conftest import run_once
 from repro.bench import render_table3, table3_rows
 from repro.graphs.metrics import validate_partition
 
 
-def test_table3_render(benchmark, experiment):
-    text = run_once(benchmark, render_table3, experiment)
+def test_table3_render(experiment):
+    text = render_table3(experiment)
     print("\n" + text)
     for row in table3_rows(experiment):
         for m in ("parmetis", "mt-metis", "gp-metis"):

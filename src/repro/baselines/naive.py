@@ -4,56 +4,28 @@ These anchor the benchmark suite — any heuristic worth running must beat
 them on cut (random) while matching their balance (both are perfectly
 balanced by construction on unit weights).
 
-Like the multilevel engines, both take a frozen options dataclass
+Like the multilevel engines, both are :class:`repro.engine.Engine`
+subclasses with a frozen options dataclass
 (:class:`~repro.baselines.options.RandomOptions` /
-:class:`~repro.baselines.options.BlockOptions`), run through
-:func:`repro.engine.run_engine` (so served and profiled runs land in the
-run ledger with a config fingerprint), and accept ``fault_plan`` /
-``fault_recovery``.
+:class:`~repro.baselines.options.BlockOptions`), so served and profiled
+runs land in the run ledger with a config fingerprint and accept
+``fault_plan`` / ``fault_recovery``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..engine import EngineRun, run_engine
-from ..exceptions import InvalidParameterError
+from ..engine import Engine, EngineRun
 from ..graphs.csr import CSRGraph
-from ..result import PartitionResult
 from ..runtime.clock import SimClock
-from ..runtime.machine import PAPER_MACHINE, MachineSpec
 from ..runtime.trace import Trace
 from .options import BlockOptions, RandomOptions
 
 __all__ = ["RandomPartitioner", "BlockPartitioner"]
 
 
-class _Baseline:
-    """The baselines' shared constructor: one options dataclass, checked."""
-
-    name: str = None  # set by subclasses
-    options_class: type = None  # set by subclasses
-
-    def __init__(self, options=None, machine: MachineSpec | None = None) -> None:
-        # Positional pre-dataclass calls, e.g. RandomPartitioner(1.05, 7)
-        # meaning (ubfactor, seed), fail here instead of mid-run.
-        if options is not None and not isinstance(options, self.options_class):
-            raise InvalidParameterError(
-                f"{self.name!r} takes a {self.options_class.__name__} options "
-                f"dataclass, got {type(options).__name__}"
-            )
-        if machine is not None and not isinstance(machine, MachineSpec):
-            raise InvalidParameterError(
-                f"machine must be a MachineSpec, got {type(machine).__name__}"
-            )
-        self.options = options or self.options_class()
-        self.machine = machine or PAPER_MACHINE
-
-    def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        return run_engine(self, graph, k, self._run)
-
-
-class _TrivialBase(_Baseline):
+class _TrivialBase(Engine):
     def _labels(self, graph: CSRGraph, k: int) -> np.ndarray:
         raise NotImplementedError
 

@@ -1,55 +1,33 @@
 """Options dataclasses of the non-multilevel baselines.
 
-The multilevel engines all take a frozen options dataclass; the
-baselines historically took bare ``ubfactor``/``seed`` kwargs, which
-left them outside the one-lookup-path API (`repro.api.PARTITIONERS`),
-the options-hash config fingerprint, and the fault-injection plumbing.
-These dataclasses close that gap: every baseline now exposes the same
-canonical field set as the engines (``ubfactor``, ``seed``,
-``fault_plan``, ``fault_recovery``).
+They carry only the cross-engine core (:class:`repro.engine.EngineOptions`:
+``ubfactor``, ``seed``, ``fault_plan``, ``fault_recovery``), so the
+baselines share the registry, the options-hash config fingerprint and the
+fault-injection plumbing with the multilevel engines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..engine import EngineOptions
 from ..exceptions import InvalidParameterError
 
 __all__ = ["RandomOptions", "BlockOptions", "SpectralOptions"]
 
 
 @dataclass(frozen=True)
-class _BaselineOptions:
-    """Canonical fields shared by every baseline."""
-
-    #: Balance tolerance: max part weight <= ubfactor x ideal.
-    ubfactor: float = 1.03
-    #: RNG seed (assignment order for random, Lanczos start for spectral).
-    seed: int = 1
-    #: Optional fault plan (see :mod:`repro.faults`): a FaultPlan, a plan
-    #: dict, or a path to a plan JSON file.  ``None`` disables injection.
-    fault_plan: object = None
-    #: Respond to injected faults with retry/degradation (True) or let
-    #: them crash the run (False).
-    fault_recovery: bool = True
-
-    def __post_init__(self) -> None:
-        if self.ubfactor < 1.0:
-            raise InvalidParameterError("ubfactor must be >= 1.0")
-
-
-@dataclass(frozen=True)
-class RandomOptions(_BaselineOptions):
+class RandomOptions(EngineOptions):
     """Knobs of :class:`repro.baselines.RandomPartitioner`."""
 
 
 @dataclass(frozen=True)
-class BlockOptions(_BaselineOptions):
+class BlockOptions(EngineOptions):
     """Knobs of :class:`repro.baselines.BlockPartitioner`."""
 
 
 @dataclass(frozen=True)
-class SpectralOptions(_BaselineOptions):
+class SpectralOptions(EngineOptions):
     """Knobs of :class:`repro.baselines.SpectralPartitioner`."""
 
     #: Modeled Lanczos sweeps per bisection (drives the cost model).

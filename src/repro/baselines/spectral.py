@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine import EngineRun
+from ..engine import Engine, EngineRun
 from ..exceptions import PartitioningError
 from ..graphs.csr import CSRGraph
 from ..runtime.clock import SimClock
 from ..runtime.trace import Trace
 from ..serial.kway import enforce_balance
-from .naive import _Baseline
 from .options import SpectralOptions
 
 __all__ = ["fiedler_vector", "spectral_bisect", "SpectralPartitioner"]
@@ -82,7 +81,7 @@ def spectral_bisect(
     return labels
 
 
-class SpectralPartitioner(_Baseline):
+class SpectralPartitioner(Engine):
     """Recursive spectral bisection to k parts (no multilevel, no FM).
 
     Cost model: each bisection runs Lanczos — ~``iterations`` sparse

@@ -15,20 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine import EngineRun, run_engine
+from ..engine import Engine, EngineRun, MultilevelOptions
 from ..exceptions import InvalidParameterError
 from ..graphs.csr import CSRGraph
 from ..graphs.metrics import edge_cut
 from ..obs.spans import clock_span
-from ..result import PartitionResult
 from ..runtime.clock import SimClock
-from ..runtime.machine import PAPER_MACHINE, MachineSpec
 from ..runtime.trace import LevelRecord, RefinementRecord, Trace
 from ..serial.bisection import recursive_bisection
 from ..serial.coarsen import CoarseningLevel
 from ..serial.contraction import contract
 from ..serial.kway import enforce_balance, kway_refine
-from ..serial.options import SerialOptions
 from ..serial.project import project_partition
 from .speculative import SpeculativeExecutor
 
@@ -36,58 +33,25 @@ __all__ = ["Gmetis", "GmetisOptions"]
 
 
 @dataclass(frozen=True)
-class GmetisOptions:
+class GmetisOptions(MultilevelOptions):
     """Knobs of the Gmetis reproduction."""
 
     num_threads: int = 8
-    ubfactor: float = 1.03
-    matching: str = "hem"
-    coarsen_to_factor: int = 20
-    coarsen_min: int = 64
-    min_shrink: float = 0.05
     refine_passes: int = 4
-    seed: int = 1
-    #: Optional fault plan (see :mod:`repro.faults`): a FaultPlan, a plan
-    #: dict, or a path to a plan JSON file.  ``None`` disables injection.
-    fault_plan: object = None
-    #: Respond to injected faults with retry/degradation (True) or let
-    #: them crash the run (False — the faults self-check's mutation).
-    fault_recovery: bool = True
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.num_threads < 1:
             raise InvalidParameterError("num_threads must be >= 1")
-        if self.ubfactor < 1.0:
-            raise InvalidParameterError("ubfactor must be >= 1.0")
         if self.refine_passes < 1:
             raise InvalidParameterError("refine_passes must be >= 1")
 
-    def coarsen_target(self, k: int) -> int:
-        return max(self.coarsen_min, self.coarsen_to_factor * k)
 
-    def serial_options(self) -> SerialOptions:
-        return SerialOptions(
-            ubfactor=self.ubfactor,
-            matching=self.matching,
-            coarsen_to_factor=self.coarsen_to_factor,
-            coarsen_min=self.coarsen_min,
-            min_shrink=self.min_shrink,
-            seed=self.seed,
-        )
-
-
-class Gmetis:
+class Gmetis(Engine):
     """Multicore Metis on the optimistic (Galois) execution model."""
 
     name = "gmetis"
-
-    def __init__(
-        self,
-        options: GmetisOptions | None = None,
-        machine: MachineSpec | None = None,
-    ) -> None:
-        self.options = options or GmetisOptions()
-        self.machine = machine or PAPER_MACHINE
+    options_class = GmetisOptions
 
     # ------------------------------------------------------------------
     def _speculative_match(
@@ -128,9 +92,6 @@ class Gmetis:
         return match, stats
 
     # ------------------------------------------------------------------
-    def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        return run_engine(self, graph, k, self._run)
-
     def _run(self, graph: CSRGraph, k: int, clock: SimClock, trace: Trace) -> EngineRun:
         opts = self.options
         executor = SpeculativeExecutor(opts.num_threads, self.machine.cpu, clock)

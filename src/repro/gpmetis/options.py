@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..engine import MultilevelOptions
 from ..exceptions import InvalidParameterError
 from ..mtmetis.options import MtMetisOptions
 
@@ -11,7 +12,7 @@ __all__ = ["GPMetisOptions"]
 
 
 @dataclass(frozen=True)
-class GPMetisOptions:
+class GPMetisOptions(MultilevelOptions):
     """Knobs of :class:`repro.gpmetis.GPMetis`.
 
     The hybrid thresholds bound where GPU execution stops paying off
@@ -19,8 +20,6 @@ class GPMetisOptions:
     GPU due to the lack of sufficient parallel tasks").
     """
 
-    ubfactor: float = 1.03
-    matching: str = "hem"
     #: Adjacency-merge strategy for contraction: "hash" (clustered hash
     #: table) or "sort" (per-thread quicksort + dedup) — Sec. III.A.
     merge_strategy: str = "hash"
@@ -35,15 +34,11 @@ class GPMetisOptions:
     gpu_threshold_min: int = 4096
     #: Number of CPU threads for the mt-metis middle stage (paper: 8).
     cpu_threads: int = 8
-    coarsen_to_factor: int = 20
-    coarsen_min: int = 64
-    min_shrink: float = 0.05
     refine_passes: int = 4
     #: Max GPU threads per kernel; per Sec. III.A the count shrinks with
     #: the graph ("we reduce the number of launched threads in the
     #: following levels") — one thread per vertex up to this cap.
     max_gpu_threads: int = 14 * 2048
-    seed: int = 1
     #: Enable the gpusim data-race sanitizer: every GPU kernel launch
     #: records per-thread read/write sets, is checked for conflicting
     #: non-atomic accesses, and is replayed under ``fuzz_schedules``
@@ -51,12 +46,6 @@ class GPMetisOptions:
     sanitize: bool = False
     #: Number of fuzzed thread schedules per launch when ``sanitize`` is on.
     fuzz_schedules: int = 3
-    #: Optional fault plan (see :mod:`repro.faults`): a FaultPlan, a plan
-    #: dict, or a path to a plan JSON file.  ``None`` disables injection.
-    fault_plan: object = None
-    #: Respond to injected faults with retry/degradation (True) or let
-    #: them crash the run (False — the faults self-check's mutation).
-    fault_recovery: bool = True
     #: Overlap PCIe transfers with kernel execution on asynchronous
     #: streams (double-buffered pipelining + fused match/resolve launch).
     #: ``False`` keeps the old fully serial schedule — the differential
@@ -70,10 +59,7 @@ class GPMetisOptions:
     __fingerprint_exclude__ = frozenset({"async_streams"})
 
     def __post_init__(self) -> None:
-        if self.ubfactor < 1.0:
-            raise InvalidParameterError("ubfactor must be >= 1.0")
-        if self.matching not in ("hem", "rm", "lem"):
-            raise InvalidParameterError(f"unknown matching scheme {self.matching!r}")
+        super().__post_init__()
         if self.merge_strategy not in ("hash", "sort"):
             raise InvalidParameterError(f"unknown merge strategy {self.merge_strategy!r}")
         if self.merge_impl not in ("vectorized", "reference"):
@@ -91,12 +77,11 @@ class GPMetisOptions:
         """Vertex count below which the graph moves to the CPU."""
         return max(self.gpu_threshold_min, self.gpu_threshold_factor * k)
 
-    def coarsen_target(self, k: int) -> int:
-        """Size the initial partitioning runs at (same rule as Metis)."""
-        return max(self.coarsen_min, self.coarsen_to_factor * k)
-
     def mtmetis_options(self) -> MtMetisOptions:
-        """Options of the CPU middle stage (paper Sec. III.B: mt-metis)."""
+        """Options of the CPU middle stage (paper Sec. III.B: mt-metis).
+
+        Never carries ``fault_plan``: the hybrid's CPU fallback calls
+        ``mt.partition()``, which would attach a second injector."""
         return MtMetisOptions(
             num_threads=self.cpu_threads,
             ubfactor=self.ubfactor,

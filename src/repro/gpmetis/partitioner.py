@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine import EngineRun, run_engine
+from ..engine import Engine, EngineRun
 from ..graphs.csr import CSRGraph
-from ..result import PartitionResult
 from ..runtime.clock import SimClock
-from ..runtime.machine import PAPER_MACHINE, MachineSpec
 from ..runtime.trace import Trace
 from .hybrid import run_hybrid
 from .options import GPMetisOptions
@@ -16,7 +14,7 @@ from .options import GPMetisOptions
 __all__ = ["GPMetis"]
 
 
-class GPMetis:
+class GPMetis(Engine):
     """Hybrid CPU-GPU multilevel k-way partitioner (GP-metis).
 
     The GPU handles the parallel-rich fine levels of coarsening and
@@ -26,17 +24,7 @@ class GPMetis:
     """
 
     name = "gp-metis"
-
-    def __init__(
-        self,
-        options: GPMetisOptions | None = None,
-        machine: MachineSpec | None = None,
-    ) -> None:
-        self.options = options or GPMetisOptions()
-        self.machine = machine or PAPER_MACHINE
-
-    def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        return run_engine(self, graph, k, self._run)
+    options_class = GPMetisOptions
 
     def _run(self, graph: CSRGraph, k: int, clock: SimClock, trace: Trace) -> EngineRun:
         # run_hybrid builds its own trace and device; the run reports both.

@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine import EngineRun, run_engine
+from ..engine import CoarseningOptions, Engine, EngineRun
 from ..exceptions import InvalidParameterError
 from ..graphs.csr import CSRGraph
 from ..graphs.metrics import edge_cut
 from ..parmetis.distgraph import DistGraph
 from ..parmetis.matching import distributed_match
-from ..result import PartitionResult
 from ..runtime.clock import SimClock
-from ..runtime.machine import PAPER_MACHINE, MachineSpec
 from ..runtime.mpi import MpiSim
 from ..runtime.trace import LevelRecord, RefinementRecord, Trace
 from ..serial.coarsen import CoarseningLevel
@@ -42,12 +40,11 @@ __all__ = ["Jostle", "JostleOptions"]
 
 
 @dataclass(frozen=True)
-class JostleOptions:
-    """Knobs of the parallel Jostle reproduction."""
+class JostleOptions(CoarseningOptions):
+    """Knobs of the parallel Jostle reproduction (no ``coarsen_min``:
+    coarsening runs down to ~k vertices)."""
 
     num_ranks: int = 8
-    ubfactor: float = 1.03
-    matching: str = "hem"
     #: Switch from distributed to replicated coarsening below this size.
     broadcast_threshold: int = 4096
     #: Stop coarsening at ~this multiple of k (1 = the paper's "equal to
@@ -57,37 +54,20 @@ class JostleOptions:
     min_shrink: float = 0.02
     refine_sweeps: int = 2
     fm_passes: int = 2
-    seed: int = 1
-    #: Optional fault plan (see :mod:`repro.faults`): a FaultPlan, a plan
-    #: dict, or a path to a plan JSON file.  ``None`` disables injection.
-    fault_plan: object = None
-    #: Respond to injected faults with retry/degradation (True) or let
-    #: them crash the run (False).
-    fault_recovery: bool = True
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.num_ranks < 1:
             raise InvalidParameterError("num_ranks must be >= 1")
-        if self.ubfactor < 1.0:
-            raise InvalidParameterError("ubfactor must be >= 1.0")
-        if self.coarsen_to_factor < 1:
-            raise InvalidParameterError("coarsen_to_factor must be >= 1")
         if self.refine_sweeps < 1 or self.fm_passes < 1:
             raise InvalidParameterError("sweep/pass counts must be >= 1")
 
 
-class Jostle:
+class Jostle(Engine):
     """Parallel multilevel partitioner in Jostle's style."""
 
     name = "jostle"
-
-    def __init__(
-        self,
-        options: JostleOptions | None = None,
-        machine: MachineSpec | None = None,
-    ) -> None:
-        self.options = options or JostleOptions()
-        self.machine = machine or PAPER_MACHINE
+    options_class = JostleOptions
 
     @staticmethod
     def _trivial_assignment(coarse: CSRGraph, k: int) -> np.ndarray:
@@ -123,9 +103,6 @@ class Jostle:
             part[v] = p
             weights[p] += float(coarse.vwgt[v])
         return part
-
-    def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        return run_engine(self, graph, k, self._run)
 
     def _run(self, graph: CSRGraph, k: int, clock: SimClock, trace: Trace) -> EngineRun:
         opts = self.options

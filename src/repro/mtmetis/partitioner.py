@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine import EngineRun, run_engine
+from ..engine import Engine, EngineRun
 from ..graphs.csr import CSRGraph
 from ..graphs.metrics import edge_cut
 from ..obs.spans import clock_span
-from ..result import PartitionResult
 from ..runtime.clock import SimClock
-from ..runtime.machine import PAPER_MACHINE, MachineSpec
 from ..runtime.threads import ThreadPoolSim, block_ownership
 from ..runtime.trace import LevelRecord, RefinementRecord, Trace
 from ..serial.coarsen import CoarseningLevel
@@ -36,18 +34,11 @@ from .refinement import refine_level
 __all__ = ["MtMetis"]
 
 
-class MtMetis:
+class MtMetis(Engine):
     """Shared-memory parallel multilevel k-way partitioner (mt-metis)."""
 
     name = "mt-metis"
-
-    def __init__(
-        self,
-        options: MtMetisOptions | None = None,
-        machine: MachineSpec | None = None,
-    ) -> None:
-        self.options = options or MtMetisOptions()
-        self.machine = machine or PAPER_MACHINE
+    options_class = MtMetisOptions
 
     # ------------------------------------------------------------------
     def coarsen(
@@ -190,9 +181,6 @@ class MtMetis:
         return part
 
     # ------------------------------------------------------------------
-    def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        return run_engine(self, graph, k, self._run)
-
     def _run(self, graph: CSRGraph, k: int, clock: SimClock, trace: Trace) -> EngineRun:
         opts = self.options
         pool = ThreadPoolSim(opts.num_threads, self.machine.cpu, clock)

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine import EngineRun, run_engine
+from ..engine import Engine, EngineRun
 from ..graphs.csr import CSRGraph
 from ..obs.spans import clock_span
-from ..result import PartitionResult
 from ..runtime.clock import SimClock
-from ..runtime.machine import PAPER_MACHINE, MachineSpec
 from ..runtime.mpi import MpiSim
 from ..runtime.trace import Trace
 from ..serial.kway import enforce_balance
@@ -23,21 +21,11 @@ from .refinement import distributed_refine_level
 __all__ = ["ParMetis"]
 
 
-class ParMetis:
+class ParMetis(Engine):
     """Distributed-memory parallel multilevel k-way partitioner (ParMetis)."""
 
     name = "parmetis"
-
-    def __init__(
-        self,
-        options: ParMetisOptions | None = None,
-        machine: MachineSpec | None = None,
-    ) -> None:
-        self.options = options or ParMetisOptions()
-        self.machine = machine or PAPER_MACHINE
-
-    def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        return run_engine(self, graph, k, self._run)
+    options_class = ParMetisOptions
 
     def _run(self, graph: CSRGraph, k: int, clock: SimClock, trace: Trace) -> EngineRun:
         opts = self.options

@@ -11,21 +11,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine import EngineRun, run_engine
+from ..engine import Engine, EngineRun, MultilevelOptions
 from ..exceptions import InvalidParameterError
 from ..graphs.csr import CSRGraph
 from ..graphs.metrics import edge_cut
 from ..parmetis.distgraph import DistGraph
-from ..result import PartitionResult
 from ..runtime.clock import SimClock
-from ..runtime.machine import PAPER_MACHINE, MachineSpec
 from ..runtime.mpi import MpiSim
 from ..runtime.trace import LevelRecord, RefinementRecord, Trace
 from ..serial.bisection import recursive_bisection
 from ..serial.coarsen import CoarseningLevel
 from ..serial.contraction import contract
 from ..serial.kway import enforce_balance
-from ..serial.options import SerialOptions
 from ..serial.project import project_partition
 from .band import band_refine
 from .folding import FoldState, fold, should_fold
@@ -35,35 +32,22 @@ __all__ = ["PTScotch", "PTScotchOptions"]
 
 
 @dataclass(frozen=True)
-class PTScotchOptions:
+class PTScotchOptions(MultilevelOptions):
     """Knobs of the PT-Scotch reproduction."""
 
     num_ranks: int = 8
-    ubfactor: float = 1.03
-    matching: str = "hem"
     match_rounds: int = 6
     request_probability: float = 0.5
     #: Fold when the per-rank vertex share drops below this.
     fold_threshold: int = 2048
-    coarsen_to_factor: int = 20
-    coarsen_min: int = 64
-    min_shrink: float = 0.05
     refine_passes: int = 4
     #: Hop distance of the refinement band around the separators.
     band_distance: int = 2
-    seed: int = 1
-    #: Optional fault plan (see :mod:`repro.faults`): a FaultPlan, a plan
-    #: dict, or a path to a plan JSON file.  ``None`` disables injection.
-    fault_plan: object = None
-    #: Respond to injected faults with retry/degradation (True) or let
-    #: them crash the run (False).
-    fault_recovery: bool = True
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.num_ranks < 1:
             raise InvalidParameterError("num_ranks must be >= 1")
-        if self.ubfactor < 1.0:
-            raise InvalidParameterError("ubfactor must be >= 1.0")
         if not 0.0 < self.request_probability <= 1.0:
             raise InvalidParameterError("request_probability must be in (0, 1]")
         if self.band_distance < 0:
@@ -71,35 +55,12 @@ class PTScotchOptions:
         if self.match_rounds < 1 or self.refine_passes < 1:
             raise InvalidParameterError("round/pass counts must be >= 1")
 
-    def coarsen_target(self, k: int) -> int:
-        return max(self.coarsen_min, self.coarsen_to_factor * k)
 
-    def serial_options(self) -> SerialOptions:
-        return SerialOptions(
-            ubfactor=self.ubfactor,
-            matching=self.matching,
-            coarsen_to_factor=self.coarsen_to_factor,
-            coarsen_min=self.coarsen_min,
-            min_shrink=self.min_shrink,
-            seed=self.seed,
-        )
-
-
-class PTScotch:
+class PTScotch(Engine):
     """Distributed multilevel partitioner in PT-Scotch's style."""
 
     name = "pt-scotch"
-
-    def __init__(
-        self,
-        options: PTScotchOptions | None = None,
-        machine: MachineSpec | None = None,
-    ) -> None:
-        self.options = options or PTScotchOptions()
-        self.machine = machine or PAPER_MACHINE
-
-    def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        return run_engine(self, graph, k, self._run)
+    options_class = PTScotchOptions
 
     def _run(self, graph: CSRGraph, k: int, clock: SimClock, trace: Trace) -> EngineRun:
         opts = self.options

@@ -10,52 +10,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..engine import MultilevelOptions
 from ..exceptions import InvalidParameterError
 
 __all__ = ["SerialOptions"]
 
 
 @dataclass(frozen=True)
-class SerialOptions:
+class SerialOptions(MultilevelOptions):
     """Knobs of :class:`repro.serial.SerialMetis`."""
 
-    #: Balance tolerance: max part weight <= ubfactor x ideal (paper: 1.03).
-    ubfactor: float = 1.03
-    #: Matching scheme: "hem" (heavy edge), "rm" (random), "lem" (light edge).
-    matching: str = "hem"
-    #: Stop coarsening when |V| <= coarsen_to_factor * k ...
-    coarsen_to_factor: int = 20
-    #: ... but never below this floor.
-    coarsen_min: int = 64
-    #: Stop if a level shrinks the graph by less than this fraction
-    #: (Metis's "difference ... less than a threshold value").
-    min_shrink: float = 0.05
     #: GGGP restarts per bisection; the best cut wins (Metis uses 4).
     gggp_trials: int = 4
     #: FM refinement passes per bisection level.
     fm_passes: int = 4
     #: Greedy k-way refinement passes per uncoarsening level.
     kway_passes: int = 4
-    #: RNG seed for matching order and GGGP seeds.
-    seed: int = 1
-    #: Optional fault plan (see :mod:`repro.faults`): a FaultPlan, a plan
-    #: dict, or a path to a plan JSON file.  ``None`` disables injection.
-    fault_plan: object = None
-    #: Respond to injected faults with retry/degradation (True) or let
-    #: them crash the run (False — the faults self-check's mutation).
-    fault_recovery: bool = True
 
     def __post_init__(self) -> None:
-        if self.ubfactor < 1.0:
-            raise InvalidParameterError("ubfactor must be >= 1.0")
-        if self.matching not in ("hem", "rm", "lem"):
-            raise InvalidParameterError(f"unknown matching scheme {self.matching!r}")
-        if self.coarsen_to_factor < 1 or self.coarsen_min < 2:
-            raise InvalidParameterError("coarsening thresholds out of range")
-        if not (0.0 <= self.min_shrink < 1.0):
-            raise InvalidParameterError("min_shrink must be in [0, 1)")
+        super().__post_init__()
         if min(self.gggp_trials, self.fm_passes, self.kway_passes) < 1:
             raise InvalidParameterError("trial/pass counts must be >= 1")
-
-    def coarsen_target(self, k: int) -> int:
-        return max(self.coarsen_min, self.coarsen_to_factor * k)

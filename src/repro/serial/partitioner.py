@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine import EngineRun, run_engine
+from ..engine import Engine, EngineRun
 from ..graphs.csr import CSRGraph
 from ..graphs.metrics import edge_cut
-from ..result import PartitionResult
 from ..runtime.clock import SimClock
-from ..runtime.machine import PAPER_MACHINE, MachineSpec
 from ..runtime.trace import RefinementRecord, Trace
 from .bisection import recursive_bisection
 from .coarsen import coarsen_graph
@@ -27,21 +25,11 @@ from .project import project_partition
 __all__ = ["SerialMetis"]
 
 
-class SerialMetis:
+class SerialMetis(Engine):
     """Serial Metis-style multilevel k-way partitioner."""
 
     name = "metis"
-
-    def __init__(
-        self,
-        options: SerialOptions | None = None,
-        machine: MachineSpec | None = None,
-    ) -> None:
-        self.options = options or SerialOptions()
-        self.machine = machine or PAPER_MACHINE
-
-    def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        return run_engine(self, graph, k, self._run)
+    options_class = SerialOptions
 
     def _run(self, graph: CSRGraph, k: int, clock: SimClock, trace: Trace) -> EngineRun:
         # A single-core engine has no faultable substrate (no device, pool

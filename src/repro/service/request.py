@@ -3,9 +3,11 @@
 Every way of running a partitioner — the synchronous
 :func:`repro.partition` facade, the CLI, the benchmark drivers, and the
 concurrent :class:`~repro.service.PartitionService` — builds a
-:class:`PartitionRequest` and executes it.  The request owns the mapping
-to the engine registry (:data:`repro.api.PARTITIONERS`), the effective
-seed, and the *config fingerprint* — the run ledger's
+:class:`PartitionRequest` and executes it.  The request resolves its
+engine once, at construction, through the engine registry
+(:data:`repro.api.PARTITIONERS`) — so a malformed method, option or
+machine fails where the request is built — and owns the effective seed
+and the *config fingerprint* — the run ledger's
 ``{engine, graph, k, seed, options_hash}`` digest plus a content digest
 of the graph's CSR arrays.  The extra component matters to the service
 result cache: two distinct graphs can share a display name (two
@@ -43,6 +45,10 @@ class PartitionRequest:
     priority: int = 1
     tags: tuple[str, ...] = ()
     machine: MachineSpec | None = None
+    #: The engine instance (class, checked options and machine) resolved
+    #: once at construction; ``run``, the fingerprint and the service's
+    #: fault-plan check all read it.
+    partitioner: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.graph, CSRGraph):
@@ -64,14 +70,17 @@ class PartitionRequest:
                 f"conflicting seeds: request.seed={self.seed} vs "
                 f"options['seed']={self.options['seed']}"
             )
+        from ..api import make_partitioner
+
+        object.__setattr__(self, "partitioner", make_partitioner(
+            self.method, machine=self.machine, **self.engine_kwargs()
+        ))
 
     # ------------------------------------------------------------------
     @property
     def engine(self) -> str:
         """The canonical registry key (aliases resolved)."""
-        from ..api import resolve_method
-
-        return resolve_method(self.method)
+        return self.partitioner.name
 
     def engine_kwargs(self) -> dict:
         """The option overrides handed to the options dataclass."""
@@ -82,15 +91,13 @@ class PartitionRequest:
 
     def engine_options(self):
         """The fully-resolved options dataclass instance."""
-        from ..api import resolve_options
-
-        return resolve_options(self.method, **self.engine_kwargs())
+        return self.partitioner.options
 
     @property
-    def effective_seed(self) -> int | None:
+    def effective_seed(self) -> int:
         """The seed the engine will actually run with (options default
         included), mirroring what ``profile_run`` stamps on the ledger."""
-        return getattr(self.engine_options(), "seed", None)
+        return self.engine_options().seed
 
     def config(self) -> dict:
         """The ledger-style config block this request resolves to."""
@@ -104,7 +111,7 @@ class PartitionRequest:
             # graphs with different arrays must not share a cache entry.
             "graph_digest": self.graph.content_digest,
             "k": int(self.k),
-            "seed": getattr(opts, "seed", None),
+            "seed": opts.seed,
             "options_hash": options_hash(opts),
         }
 
@@ -120,16 +127,9 @@ class PartitionRequest:
         return config_fingerprint(self.config())
 
     # ------------------------------------------------------------------
-    def build_partitioner(self):
-        from ..api import make_partitioner
-
-        return make_partitioner(
-            self.method, machine=self.machine, **self.engine_kwargs()
-        )
-
     def run(self) -> PartitionResult:
         """Execute this request synchronously on the calling thread."""
-        return self.build_partitioner().partition(self.graph, self.k)
+        return self.partitioner.partition(self.graph, self.k)
 
     def with_overrides(self, **changes) -> "PartitionRequest":
         """A copy of this request with fields replaced."""

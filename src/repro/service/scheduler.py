@@ -240,8 +240,9 @@ class PartitionService:
     def submit(self, request: PartitionRequest) -> Ticket:
         """Admit a request into its priority lane.
 
-        Resolves the engine and fingerprint eagerly, so malformed
-        requests fail here — not on a worker — and raises
+        The request resolved its engine and options when it was built
+        and the fingerprint is taken here, so malformed requests fail
+        before they are queued — not on a worker — and this raises
         :class:`~repro.exceptions.ServiceOverloadedError` when the lane
         is at ``queue_limit``.
         """
@@ -284,9 +285,7 @@ class PartitionService:
         service-level retry can never succeed.
         """
         policy = self.config.retry_policy
-        deterministic = (
-            getattr(ticket.request.engine_options(), "fault_plan", None) is not None
-        )
+        deterministic = ticket.request.engine_options().fault_plan is not None
         max_retries = 0 if deterministic else policy.max_retries
         while True:
             try:

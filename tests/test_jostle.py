@@ -105,6 +105,17 @@ class TestDriver:
         with pytest.raises(InvalidParameterError):
             JostleOptions(coarsen_to_factor=0)
 
+    @pytest.mark.parametrize("bad", [{"matching": "bogus"}, {"min_shrink": 1.5}])
+    def test_shared_coarsening_checks(self, bad):
+        # An unknown scheme would fall through to random matching, and
+        # min_shrink >= 1 would stop coarsening after one level.
+        with pytest.raises(InvalidParameterError):
+            JostleOptions(**bad)
+
+    def test_no_coarsen_min(self):
+        # Jostle coarsens down to ~k vertices; it has no Metis floor.
+        assert "coarsen_min" not in JostleOptions.__dataclass_fields__
+
     def test_quality_comparable_to_metis(self):
         from repro.serial import SerialMetis
 
