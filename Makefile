@@ -38,9 +38,10 @@ roofline-smoke:
 	$(PYTHON) -m repro roofline --ledger benchmarks/BENCH_ledger.jsonl \
 		--no-chart > /dev/null
 
-# Async-streams overlap smoke: GP-metis on every paper dataset with
-# streams on vs off must produce byte-identical partition vectors while
-# strictly reducing end-to-end simulated seconds and exposed PCIe time.
+# Async-streams overlap smoke: GP-metis on every paper dataset with the
+# copy-stream handoff download on vs off must produce byte-identical
+# partition vectors while strictly reducing end-to-end simulated seconds
+# and exposed PCIe time.
 overlap-smoke:
 	$(PYTHON) benchmarks/overlap_smoke.py
 

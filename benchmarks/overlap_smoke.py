@@ -2,9 +2,9 @@
 """Smoke test of the async-streams overlap schedule (``make overlap-smoke``).
 
 Runs GP-metis on every Table I analogue dataset twice — once with the
-default double-buffered async-streams schedule, once with
-``async_streams=False`` (the serial differential oracle) — and asserts
-the tentpole acceptance bar on each:
+default schedule, whose last coarse-level download rides a copy stream
+behind that level's contraction, once with ``async_streams=False`` (the
+serial differential oracle) — and asserts on each:
 
 * the partition vectors are byte-identical (overlap changes *when* time
   passes, never *what* is computed);

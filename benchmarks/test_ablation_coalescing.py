@@ -28,7 +28,7 @@ def graphs_by_order():
 
 def _match_kernel_stats(result):
     stats = result.extras["device_stats"]
-    k = stats.kernels.get("coarsen.match")
+    k = stats.kernels.get("coarsen.match_resolve")
     assert k is not None
     return k
 

@@ -42,9 +42,12 @@ def test_more_gpu_levels_with_lower_threshold(graph):
 
 
 def test_threshold_policy_consistency():
-    opts = GPMetisOptions(gpu_threshold_min=5000)
+    opts = GPMetisOptions(gpu_threshold_min=5000, gpu_threshold_factor=8)
     # The switch size never drops below the initial-partitioning target.
     assert gpu_stop_size(opts, k=64) >= opts.coarsen_target(64)
+    # At k=1024 the GPU threshold (8 * 1024) is below the target, so the
+    # target floor is what binds.
+    assert opts.gpu_threshold(1024) < opts.coarsen_target(1024)
     assert gpu_stop_size(opts, k=1024) == opts.coarsen_target(1024)
 
 

@@ -34,15 +34,16 @@ def main() -> None:
     print(f"H2D: {dev.stats.h2d_bytes} bytes in {dev.stats.h2d_transfers} transfers; "
           f"device memory in use: {dev.allocated_bytes} bytes")
 
-    # Step 1 — lock-free matching + conflict resolution (Fig. 3).
+    # Step 1 — lock-free matching + conflict resolution (Fig. 3), one
+    # fused launch.
     n_threads = min(graph.num_vertices, PAPER_MACHINE.gpu.max_threads)
     d_match, mstats = gpu_match(dev, d_csr, graph, n_threads, "hem",
                                 np.random.default_rng(0))
     print(f"\nmatching with {n_threads} threads:")
     print(f"  pairs={mstats.pairs} conflicts={mstats.conflicts} "
           f"self-matched={mstats.self_matches}")
-    k = dev.stats.kernel("coarsen.match")
-    print(f"  match kernel: {k.memory_transactions:.0f} transactions, "
+    k = dev.stats.kernel("coarsen.match_resolve")
+    print(f"  match/resolve kernel: {k.memory_transactions:.0f} transactions, "
           f"coalescing efficiency {k.coalescing_efficiency:.2f}")
 
     # Step 2 — the 4-kernel cmap pipeline (Fig. 4).

@@ -3,11 +3,13 @@
 Pipeline:
 
 1. copy the CSR graph to the GPU;
-2. GPU coarsening (match -> resolve -> cmap pipeline -> contraction) level
-   by level, keeping every level's arrays device-resident ("the addresses
+2. GPU coarsening (fused match/resolve -> cmap pipeline -> contraction)
+   level by level, keeping every level's arrays device-resident ("the addresses
    of all arrays corresponding to the coarser graph are stored in a set
    of pointer arrays since they will be needed to project back");
-3. at the threshold, ship the coarse graph to the CPU; mt-metis finishes
+3. at the threshold, ship the coarse graph to the CPU (with
+   ``async_streams`` on, the last level's arrays download on a copy
+   stream while its own contraction kernels run); mt-metis finishes
    coarsening, computes the initial partition, and refines back up to the
    threshold level;
 4. the partition vector returns to the GPU; projection + lock-free
@@ -54,8 +56,8 @@ from ..graphs.metrics import edge_cut
 from ..gpusim.device import Device
 from ..gpusim.memory import DeviceArray
 from ..gpusim.simt import threads_for_items
-from ..gpusim.streams import d2h_async, h2d_async
-from ..gpusim.transfer import CSR_ARRAYS, d2h
+from ..gpusim.streams import d2h_async
+from ..gpusim.transfer import CSR_ARRAYS, d2h, h2d, transfer_graph_to_device
 from ..mtmetis.initpart import parallel_recursive_bisection
 from ..mtmetis.partitioner import MtMetis
 from ..obs.spans import clock_span
@@ -70,7 +72,6 @@ from .kernels.contraction import gpu_contract
 from .kernels.matching import gpu_match
 from .kernels.projection import gpu_project
 from .kernels.refinement import gpu_refine_level
-from .memory_planning import plan_device_memory
 from .options import GPMetisOptions
 from .thresholds import gpu_stop_size
 
@@ -134,57 +135,14 @@ def run_hybrid(
         )
 
     # ------------------------------------------------------------------
-    # 0. Schedule selection: double-buffered async streams, unless the
-    #    staging residency would blow the device budget (then single-
-    #    buffer — the serial schedule — not OOM-evacuate).  The serial
-    #    schedule is the same code on the host stream: copies and kernels
-    #    charge the host cursor and every wait/synchronize is a no-op.
-    # ------------------------------------------------------------------
-    use_async = opts.async_streams
-    if use_async:
-        plan = plan_device_memory(graph, k, opts, machine.gpu, double_buffer=True)
-        if not plan.fits:
-            use_async = False
-            trace.note(
-                "double-buffer staging "
-                f"({plan.staging_bytes} B on top of {plan.total_bytes} B) "
-                f"exceeds device memory ({plan.device_bytes} B); "
-                "falling back to the single-buffer serial schedule"
-            )
-    if use_async:
-        copy_s, compute_s = dev.stream("copy"), dev.stream("compute")
-    else:
-        copy_s = compute_s = dev.host_stream
-    # CUDA default-stream idiom: every kernel launched below lands on the
-    # compute stream without threading a parameter through the kernel
-    # helpers.
-    dev.default_stream = compute_s
-
-    # ------------------------------------------------------------------
     # 1. Host -> device.
     # ------------------------------------------------------------------
     clock.set_phase("transfer")
     try:
-        # Upload on the copy stream.  Matching only needs the three
-        # structure arrays; vwgt's first consumer is the contraction, so
-        # its copy stays in flight behind the level-0 match/cmap kernels
-        # — the upload half of the double buffer.
-        d_csr = {}
-        events = {}
-        for name in CSR_ARRAYS:
-            d_csr[name], events[name] = h2d_async(
-                copy_s, getattr(graph, name), machine.interconnect,
-                label=f"csr.{name}",
-            )
-        for name in ("adjp", "adjncy", "adjwgt"):
-            compute_s.wait(events[name])
-        ev_vwgt = events["vwgt"]
+        d_csr = transfer_graph_to_device(dev, graph, machine.interconnect)
     except RECOVERABLE as exc:
         if unrecoverable(exc):
             raise
-        # Any copies that did land before the failure stop mattering; fold
-        # their in-flight time into the wall clock before the CPU takes over.
-        clock.sync_tracks()
         trace.note(f"input transfer failed ({exc}); falling back to mt-metis")
         if injector is not None:
             injector.record_recovery(
@@ -219,29 +177,30 @@ def run_hybrid(
     fell_back = False
     downloaded: set[str] = set()
 
-    def make_copy_out():
-        """Handoff downloads enqueued on the copy stream as the final
-        contraction's kernels finalize each array — the download half of
-        the double buffer.  A dead D2H link degrades exactly like the
-        serial schedule's: note + ``evacuate`` recovery, host mirror."""
+    # With async streams on, the last level's coarse mirror downloads on
+    # a copy stream while its own contraction kernels still run.  Every
+    # other copy stays on the host stream: each sits next to a phase
+    # change, whose track sync would leave nothing to overlap.
+    copy_s = dev.stream("copy")
 
-        def copy_out(name, darr):
-            try:
-                d2h_async(
-                    copy_s, darr, machine.interconnect, label=f"coarse.{name}",
-                    after=(compute_s.record(),),
+    def download(name: str, darr: DeviceArray, stream) -> None:
+        """Ship one coarse CSR array to the host on ``stream``.  The CPU
+        stage owns a host mirror of every array, so a dead D2H link costs
+        only the failed attempts' time: note + ``evacuate`` recovery."""
+        try:
+            d2h_async(stream, darr, machine.interconnect, label=f"coarse.{name}")
+        except TransferError as exc:
+            if unrecoverable(exc):
+                raise
+            trace.note(f"coarse.{name} D2H failed ({exc}); using host mirror")
+            if injector is not None:
+                injector.record_recovery(
+                    "transfer.d2h", "evacuate", f"coarse.{name}: host mirror"
                 )
-            except TransferError as exc:
-                if unrecoverable(exc):
-                    raise
-                trace.note(f"coarse.{name} D2H failed ({exc}); using host mirror")
-                if injector is not None:
-                    injector.record_recovery(
-                        "transfer.d2h", "evacuate", f"coarse.{name}: host mirror"
-                    )
-            downloaded.add(name)
+        downloaded.add(name)
 
-        return copy_out
+    def copy_out(name: str, darr: DeviceArray) -> None:
+        download(name, darr, copy_s)
 
     while current.graph.num_vertices > stop_at:
         nv = current.graph.num_vertices
@@ -252,29 +211,16 @@ def run_hybrid(
                 engine="gpu", num_vertices=nv, num_edges=current.graph.num_edges,
             ):
                 d_match, mstats = gpu_match(
-                    dev, current.d_csr, current.graph, n_threads, opts.matching,
-                    rng, fuse_resolve=use_async,
+                    dev, current.d_csr, current.graph, n_threads, opts.matching, rng
                 )
                 d_cmap, n_coarse = gpu_build_cmap(dev, d_match, n_threads)
-                # The contraction is vwgt's first consumer: release the
-                # compute stream only once the in-flight upload landed.
-                compute_s.wait(ev_vwgt)
-                copy_out = None
-                # The loop-exit test is decidable before contracting, so
-                # under overlap the last level's coarse mirror downloads
-                # while its own contraction kernels still run.
-                if use_async and (
-                    n_coarse <= stop_at or (1.0 - n_coarse / nv) < opts.min_shrink
-                ):
-                    copy_out = make_copy_out()
+                # The loop-exit test is decidable before contracting.
+                last = n_coarse <= stop_at or (1.0 - n_coarse / nv) < opts.min_shrink
                 outcome = gpu_contract(
                     dev, current.d_csr, current.graph, d_match, d_cmap, n_coarse,
                     n_threads, opts.merge_strategy, opts.merge_impl,
-                    copy_out=copy_out,
+                    copy_out=copy_out if opts.async_streams and last else None,
                 )
-                # The host paces the compute stream level by level (it
-                # polls for the shrink factor); the copy stream floats.
-                compute_s.synchronize()
         except RECOVERABLE as exc:
             if unrecoverable(exc):
                 raise
@@ -317,22 +263,10 @@ def run_hybrid(
     # ------------------------------------------------------------------
     clock.set_phase("transfer")
     for name in CSR_ARRAYS:
-        if not fell_back and name in downloaded:
-            # Already shipped by the copy stream, hidden behind the final
-            # contraction (set_phase synchronized the streams above).
-            continue
-        try:
-            d2h(current.d_csr[name], machine.interconnect, label=f"coarse.{name}")
-        except TransferError as exc:
-            if unrecoverable(exc):
-                raise
-            # The CPU stage owns a host mirror of every array, so a dead
-            # D2H link costs only the failed attempts' time.
-            trace.note(f"coarse.{name} D2H failed ({exc}); using host mirror")
-            if injector is not None:
-                injector.record_recovery(
-                    "transfer.d2h", "evacuate", f"coarse.{name}: host mirror"
-                )
+        # Arrays the copy stream already shipped behind the final
+        # contraction are skipped (set_phase synchronized it above).
+        if fell_back or name not in downloaded:
+            download(name, current.d_csr[name], dev.host_stream)
 
     clock.set_phase("coarsening-cpu")
     cpu_levels, coarsest = mt.coarsen(
@@ -365,13 +299,7 @@ def run_hybrid(
     if gpu_levels and not fell_back:
         clock.set_phase("transfer")
         try:
-            # Prefetch: the partition vector rides the copy stream and the
-            # first projection kernel waits on its event instead of the
-            # host blocking on the copy.
-            d_part, ev_part = h2d_async(
-                copy_s, part.astype(np.int64), machine.interconnect, label="part"
-            )
-            compute_s.wait(ev_part)
+            d_part = h2d(dev, part.astype(np.int64), machine.interconnect, label="part")
         except RECOVERABLE as exc:
             if unrecoverable(exc):
                 raise
@@ -413,9 +341,6 @@ def run_hybrid(
                             opts.ubfactor, opts.refine_passes, n_threads,
                         )
                         cut_after = edge_cut(level.graph, d_part.data)
-                        # Host reads the cut between levels: pace the
-                        # compute stream here too.
-                        compute_s.synchronize()
                 except RECOVERABLE as exc:
                     if unrecoverable(exc):
                         raise
@@ -453,11 +378,7 @@ def run_hybrid(
             if not abandoned:
                 clock.set_phase("transfer")
                 try:
-                    part, ev_final = d2h_async(
-                        copy_s, d_part, machine.interconnect,
-                        label="part.final", after=(compute_s.record(),),
-                    )
-                    ev_final.synchronize()
+                    part = d2h(d_part, machine.interconnect, label="part.final")
                 except TransferError as exc:
                     if unrecoverable(exc):
                         raise
@@ -491,10 +412,6 @@ def run_hybrid(
             count=float(graph.num_directed_edges),
             detail=f"final rebalance ({moves} moves)",
         )
-
-    # Safety net: no async track may outlive the run (every schedule path
-    # above synchronizes, but the wall clock must never undercount).
-    clock.sync_tracks()
 
     if dev.sanitizer is not None:
         trace.race_reports = list(dev.sanitizer.reports)

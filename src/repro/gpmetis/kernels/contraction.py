@@ -114,7 +114,7 @@ def gpu_contract(
     second scan, ``adjncy``/``adjwgt`` after the compaction, ``vwgt``
     after the weight kernel).  The async-streams schedule uses it to
     enqueue the handoff D2H copies on a copy stream while the remaining
-    contraction kernels are still running on the compute stream.
+    contraction kernels still run on the host stream.
     """
     match = d_match.data
     cmap = d_cmap.data

@@ -1,15 +1,18 @@
 """GPU matching kernels (paper Sec. III.A, Fig. 3).
 
-Two kernels per level:
+One fused launch per level, ``coarsen.match_resolve``, in two stages
+separated by an in-kernel ``grid_sync()`` barrier:
 
-* ``coarsen.match`` — every thread scans its assigned vertices and writes
-  matches to the shared matching array ``M`` lock-free (HEM, falling back
-  to random matching when all weights are equal).  Threads process
-  vertices in the coalesced layout of Fig. 2: in iteration ``j`` thread
-  ``t`` handles vertex ``j*T + t``, so a warp's vertex reads are
-  contiguous.
-* ``coarsen.resolve`` — re-scans the array and self-matches every vertex
-  whose claim is not reciprocated (``M[M[v]] != v``).
+* match — every thread scans its assigned vertices and writes matches to
+  the shared matching array ``M`` lock-free (HEM, falling back to random
+  matching when all weights are equal).  Threads process vertices in the
+  coalesced layout of Fig. 2: in iteration ``j`` thread ``t`` handles
+  vertex ``j*T + t``, so a warp's vertex reads are contiguous.
+* resolve — re-scans the array and self-matches every vertex whose claim
+  is not reciprocated (``M[M[v]] != v``).
+
+Fusing saves one kernel-launch latency per level against a separate
+resolution kernel; the sanitizer analyzes each barrier epoch on its own.
 
 Semantics ride on the shared lock-free engine
 (:func:`repro.mtmetis.matching.lockfree_match`) with batch width = the
@@ -45,23 +48,18 @@ def gpu_match(
     scheme: str,
     rng: np.random.Generator,
     resolve_conflicts: bool = True,
-    fuse_resolve: bool = False,
 ) -> tuple[DeviceArray, LockfreeMatchStats]:
-    """Run the matching + conflict-resolution kernels; returns (d_match, stats).
+    """Run the fused matching + conflict-resolution kernel; returns
+    (d_match, stats).
 
     If every edge weight is equal, HEM degenerates and the paper switches
     to iterative random matching — handled by inspecting the weights once.
 
-    ``resolve_conflicts=False`` skips the second (resolution) kernel and
-    commits round 1's raw claims — the sanitizer's mutation self-check:
-    the asymmetric ``M[u]`` writes it leaves behind must be detected as a
-    write-write race.  Production callers never disable it.
-
-    ``fuse_resolve=True`` (the async-streams schedule) folds both stages
-    into one ``coarsen.match_resolve`` launch separated by an in-kernel
-    ``grid_sync()`` barrier, saving one kernel-launch latency per level;
-    the memory/compute volumes, the committed matching and the sanitizer
-    semantics (per-epoch analysis) are identical to the two-kernel form.
+    ``resolve_conflicts=False`` skips the resolution stage and commits
+    round 1's raw claims in a bare ``coarsen.match`` launch — the
+    sanitizer's mutation self-check: the asymmetric ``M[u]`` writes it
+    leaves behind must be detected as a write-write race.  Production
+    callers never disable it.
     """
     n = graph.num_vertices
     if scheme == "hem" and graph.adjwgt.size and graph.adjwgt.min() == graph.adjwgt.max():
@@ -78,8 +76,7 @@ def gpu_match(
 
     d_match = dev.alloc(n, np.int64, label="match")
 
-    fused = fuse_resolve and resolve_conflicts
-    kernel_name = "coarsen.match_resolve" if fused else "coarsen.match"
+    kernel_name = "coarsen.match_resolve" if resolve_conflicts else "coarsen.match"
 
     # Account the matching kernel: one launch covering all lockstep
     # iterations (each thread loops over ceil(n/T) vertices).  Thread
@@ -105,18 +102,10 @@ def gpu_match(
         pthreads = ids[paired] % n_threads
         k.scatter(d_match, ids[paired], match[paired], threads=pthreads)
         k.scatter(d_match, match[paired], ids[paired], threads=pthreads)
-        if fused:
-            # Conflict resolution fused into the same launch behind a
-            # device-wide barrier: M[M[v]] check + self-match writes.
+        if resolve_conflicts:
+            # Conflict resolution behind a device-wide barrier: M[M[v]]
+            # check + self-match writes.
             k.grid_sync()
-            vals = k.stream_read(d_match)
-            k.gather(d_match, np.maximum(vals, 0))
-            k.compute(2 * n)
-            k.stream_write(d_match, match)
-
-    if resolve_conflicts and not fused:
-        # Conflict-resolution kernel: M[M[v]] check + self-match writes.
-        with dev.kernel("coarsen.resolve", n_threads=n_threads) as k:
             vals = k.stream_read(d_match)
             k.gather(d_match, np.maximum(vals, 0))
             k.compute(2 * n)

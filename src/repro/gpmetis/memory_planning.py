@@ -34,14 +34,10 @@ class MemoryPlan:
     total_bytes: int
     device_bytes: int
     predicted_gpu_levels: int
-    #: Extra staging residency of the double-buffered async schedule
-    #: (in-flight copy buffers held alongside the buffers kernels read).
-    #: Zero for the serial schedule.
-    staging_bytes: int = 0
 
     @property
     def fits(self) -> bool:
-        return self.total_bytes + self.staging_bytes <= self.device_bytes
+        return self.total_bytes <= self.device_bytes
 
     @property
     def recommended_devices(self) -> int:
@@ -57,22 +53,12 @@ def plan_device_memory(
     opts: GPMetisOptions | None = None,
     gpu: GpuSpec | None = None,
     shrink_per_level: float = 0.62,
-    double_buffer: bool = False,
 ) -> MemoryPlan:
     """Estimate the run's device footprint.
 
     ``shrink_per_level`` is the typical per-level vertex-count ratio for
     lock-free HEM on irregular graphs (conflicts leave ~35-45 % of
     vertices self-matched per the measured traces).
-
-    ``double_buffer=True`` plans for the async-streams schedule: while an
-    upload/download is in flight on the copy stream, its buffer must stay
-    live alongside whatever the compute stream is using, so the peak
-    grows by one copy of the largest level's CSR.  The hybrid engine
-    checks this plan against the Titan's 6 GB and drops back to the
-    single-buffer (serial-transfer) schedule when it would not fit —
-    degrading bandwidth, never correctness, instead of OOM-evacuating
-    mid-run.
     """
     opts = opts or GPMetisOptions()
     gpu = gpu or GpuSpec()
@@ -106,7 +92,6 @@ def plan_device_memory(
     # The input CSR *is* the ladder's level 0; don't count it twice.  A
     # run with no GPU levels still holds the input on the device.
     total = max(input_bytes, ladder) + scratch_peak
-    staging = input_bytes if double_buffer else 0
     return MemoryPlan(
         input_bytes=input_bytes,
         ladder_bytes=ladder,
@@ -115,5 +100,4 @@ def plan_device_memory(
         total_bytes=total,
         device_bytes=gpu.memory_bytes,
         predicted_gpu_levels=levels,
-        staging_bytes=staging,
     )

@@ -46,11 +46,11 @@ class GPMetisOptions(MultilevelOptions):
     sanitize: bool = False
     #: Number of fuzzed thread schedules per launch when ``sanitize`` is on.
     fuzz_schedules: int = 3
-    #: Overlap PCIe transfers with kernel execution on asynchronous
-    #: streams (double-buffered pipelining + fused match/resolve launch).
-    #: ``False`` keeps the old fully serial schedule — the differential
-    #: oracle: partition vectors are byte-identical either way, only the
-    #: modeled wall time changes.
+    #: Download the last GPU coarsening level on a copy stream while its
+    #: own contraction kernels still run.  ``False`` keeps the fully
+    #: serial schedule — the differential oracle: partition vectors and
+    #: charged (busy) seconds are identical either way, only the modeled
+    #: wall time changes.
     async_streams: bool = True
 
     #: Fields that change scheduling/accounting but never the computed

@@ -45,21 +45,14 @@ class Device:
     #: Opt-in data-race sanitizer (see :mod:`repro.gpusim.sanitizer`).
     #: ``None`` disables all access recording — the default fast path.
     sanitizer: object | None = None
-    #: The :class:`~repro.gpusim.streams.Stream` that kernels launched
-    #: without an explicit ``stream=`` argument enqueue on — the CUDA
-    #: default-stream idiom, so engine code can route every kernel of a
-    #: region onto a compute stream without threading a parameter
-    #: through each kernel helper.  Defaults to :attr:`host_stream`.
-    default_stream: object | None = None
-    #: The host timeline as a stream: charges land on the host cursor.
+    #: The host timeline as a stream: every kernel launches here and its
+    #: charges land on the host cursor.
     host_stream: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         from .streams import Stream
 
         self.host_stream = Stream(self)
-        if self.default_stream is None:
-            self.default_stream = self.host_stream
 
     def stream(self, name: str):
         """Create a named asynchronous stream on this device."""
@@ -130,22 +123,19 @@ class Device:
     # ------------------------------------------------------------------
     # Kernel launching
     # ------------------------------------------------------------------
-    def kernel(self, name: str, n_threads: int, stream=None) -> "KernelContext":
+    def kernel(self, name: str, n_threads: int) -> "KernelContext":
         if n_threads < 1:
             raise KernelLaunchError(f"kernel {name!r} launched with {n_threads} threads")
-        return KernelContext(self, name, int(n_threads), stream=stream)
+        return KernelContext(self, name, int(n_threads))
 
 
 class KernelContext:
     """Accumulates one kernel launch's memory/compute/atomic work."""
 
-    def __init__(self, device: Device, name: str, n_threads: int, stream=None) -> None:
+    def __init__(self, device: Device, name: str, n_threads: int) -> None:
         self.device = device
         self.name = name
         self.n_threads = n_threads
-        #: The stream this launch enqueues on: the explicit argument or
-        #: the device's default stream (the host stream unless rerouted).
-        self.stream = stream if stream is not None else device.default_stream
         self._transactions = 0.0
         #: Transactions beyond the perfectly-coalesced minimum: these are
         #: random DRAM accesses and pay the (lower) gather bandwidth.
@@ -338,9 +328,9 @@ class KernelContext:
     # -- commit ------------------------------------------------------------
     def _commit(self) -> None:
         spec = self.device.spec
-        stream = self.stream
-        charge = stream.charge
-        t_start = stream.cursor
+        clock = self.device.clock
+        charge = clock.charge
+        t_start = clock.now
 
         streamed = (
             self._transactions - self._random_transactions - self._cached_transactions
@@ -399,7 +389,7 @@ class KernelContext:
         else:
             launch_bound = "compute"
 
-        profiler = getattr(self.device.clock, "profiler", None)
+        profiler = getattr(clock, "profiler", None)
         if profiler is not None:
             moved = self._transactions * spec.transaction_bytes
             coalescing = (
@@ -409,7 +399,7 @@ class KernelContext:
             profiler.add_span(
                 self.name,
                 t_start,
-                stream.cursor,
+                clock.now,
                 category="kernel",
                 threads=self.n_threads,
                 transactions=self._transactions,
@@ -418,5 +408,4 @@ class KernelContext:
                 compute_ops=self._compute_ops,
                 atomic_ops=self._atomic_ops,
                 bound=launch_bound,
-                **stream.span_attrs,
             )

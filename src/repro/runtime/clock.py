@@ -166,27 +166,16 @@ class SimClock:
         """Where the next command enqueued on ``track`` would start."""
         return max(self._tracks.get(track, 0.0), self._now)
 
-    def advance_track(self, track: str, timestamp: float) -> None:
-        """Insert an idle gap on ``track`` up to ``timestamp`` (a stream
-        waiting on another stream's event; nothing is charged)."""
-        self._tracks[track] = max(self._tracks.get(track, 0.0), timestamp)
-
-    def wait_until(self, timestamp: float) -> None:
-        """Advance the host cursor to ``timestamp`` (host-side wait on an
-        async event; a no-op when the host is already past it)."""
-        self._now = max(self._now, timestamp)
-
-    def sync_tracks(self, tracks: Iterable[str] | None = None) -> None:
+    def sync_tracks(self) -> None:
         """Fold async track time into the wall clock (device synchronize).
 
-        Advances the host cursor to the end of the named tracks (all
-        tracks by default) without charging any event: the waiting time is
-        already covered by the tracks' own events, so wall time becomes
-        the busy-union, never the serial sum.
+        Advances the host cursor to the end of every track without
+        charging any event: the waiting time is already covered by the
+        tracks' own events, so wall time becomes the busy-union, never
+        the serial sum.
         """
-        names = list(self._tracks) if tracks is None else list(tracks)
-        for name in names:
-            self._now = max(self._now, self._tracks.get(name, 0.0))
+        for end in self._tracks.values():
+            self._now = max(self._now, end)
 
     @property
     def total_seconds(self) -> float:

@@ -51,7 +51,6 @@ from ..faults.retry import RetryPolicy
 from ..obs.critical import attribution_totals, request_entry
 from ..obs.hw import (
     BOUND_KINDS,
-    exposed_span_seconds,
     gpu_ratios,
     hw_metrics,
     hw_section,
@@ -162,24 +161,9 @@ class Ticket:
 
 def _csr_setup_seconds(result: PartitionResult) -> float:
     """The one-time CSR H2D transfer cost inside a result's run — the
-    seconds a same-graph batch follower does not pay again.
-
-    Only *exposed* seconds are refundable: under the async-streams
-    schedule part of the CSR upload hides behind kernels and never
-    reaches the critical path, so skipping it saves nothing.  Falls back
-    to the clock's event sum when no profiler observed the run (the
-    serial path, where nothing overlaps and the two agree).
-    """
-    profiler = getattr(result, "profiler", None)
-    if profiler is not None:
-        csr_spans = [
-            s for s in profiler.root.find_category("transfer")
-            if s.name.startswith("h2d.csr.")
-        ]
-        if csr_spans:
-            return exposed_span_seconds(
-                csr_spans, profiler.root.find_category("kernel")
-            )
+    seconds a same-graph batch follower does not pay again.  The upload
+    runs on the host stream, so every second of it is on the critical
+    path and the clock's ``csr.*`` transfer charges are the refund."""
     return sum(
         e.seconds
         for e in result.clock.events
@@ -613,7 +597,7 @@ class PartitionService:
                 csr_bytes, csr_transfers = _csr_setup_bytes(t.result)
                 nbytes = max(0.0, nbytes - csr_bytes)
                 transfers = max(0, transfers - csr_transfers)
-                # The refund is the exposed CSR cost; total seconds drop
+                # The refund is the CSR upload's cost; total seconds drop
                 # by the same amount the latency refund gave back.
                 refund = _csr_setup_seconds(t.result)
                 seconds = max(0.0, seconds - refund)

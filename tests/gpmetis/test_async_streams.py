@@ -2,14 +2,14 @@
 
 Overlap changes *when* simulated time passes, never *what* is computed:
 ``GPMetisOptions(async_streams=False)`` is the serial differential
-oracle.  With streams on, the partition vector, the trace, and the
-ledger config fingerprint must be byte-identical to the serial run while
-end-to-end simulated seconds strictly improve whenever GPU levels run.
+oracle.  With streams on, the partition vector, the trace, the charged
+(busy) seconds and the ledger config fingerprint must be identical to
+the serial run, while end-to-end simulated seconds strictly improve by
+exactly the PCIe time the copy stream hid whenever GPU levels run.
 
-Also covered here: the single-buffer memory fallback (staging residency
-over budget degrades bandwidth, never correctness) and the fault
-injector's view of in-flight async copies (failed-attempt transfer time
-lands in the ``retry`` bucket, not ``transfer``).
+Also covered here: the fault injector's view of failed copies
+(failed-attempt transfer time lands in the ``retry`` bucket, not
+``transfer``).
 """
 
 import numpy as np
@@ -17,12 +17,10 @@ import pytest
 
 import repro
 from repro.faults import FaultPlan, FaultSpec
-from repro.gpmetis.memory_planning import plan_device_memory
 from repro.gpmetis.options import GPMetisOptions
 from repro.graphs import generators
 from repro.obs import ticket_attribution
 from repro.obs.ledger import ledger_record
-from repro.runtime.machine import PAPER_MACHINE
 
 SEED = 3
 THRESH = 2048  # GPU levels run at test sizes
@@ -50,6 +48,12 @@ class TestDifferentialOracle:
         off = _run(g, k, async_streams=False)
         assert np.array_equal(on.part, off.part)
         assert on.modeled_seconds < off.modeled_seconds
+        # The schedules charge the same work; the only difference is the
+        # download the copy stream hid behind the last contraction.
+        assert on.clock.busy_seconds == off.clock.busy_seconds
+        pcie = on.profiler.hw["pcie"]
+        assert off.modeled_seconds - on.modeled_seconds == pytest.approx(
+            pcie["seconds"] - pcie["exposed_seconds"], rel=1e-9)
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_ledger_fingerprints_identical(self, name):
@@ -60,6 +64,21 @@ class TestDifferentialOracle:
         rec_off = ledger_record(_run(g, 8, async_streams=False).profiler)
         assert rec_on["fingerprint"] == rec_off["fingerprint"]
         assert "async_streams" not in rec_on["config"]
+
+    def test_kernel_timeout_is_not_hidden(self):
+        # A launch watchdog fires on the stream its kernels run on, after
+        # them: no schedule may hide it.  The fault stops GPU coarsening
+        # at level 0, before any copy could overlap, so on == off.
+        plan = FaultPlan(specs=(
+            FaultSpec("kernel.launch", "timeout", probability=1.0,
+                      max_fires=1, match="coarsen.cmap"),
+        ))
+        g = GRAPHS["delaunay"]()
+        on = _run(g, 8, async_streams=True, fault_plan=plan)
+        off = _run(g, 8, async_streams=False, fault_plan=plan)
+        assert on.extras["gpu_levels"] == 0
+        assert on.modeled_seconds == off.modeled_seconds
+        assert on.modeled_seconds == pytest.approx(on.clock.busy_seconds)
 
     def test_cpu_only_run_unaffected(self):
         # Below the GPU threshold nothing streams; on/off are identical
@@ -75,36 +94,6 @@ class TestDifferentialOracle:
     def test_option_defaults_on(self):
         assert GPMetisOptions().async_streams is True
         assert "async_streams" in GPMetisOptions.__fingerprint_exclude__
-
-
-class TestMemoryFallback:
-    def test_staging_over_budget_falls_back_to_serial(self):
-        g = GRAPHS["grid"]()
-        opts = GPMetisOptions(gpu_threshold_min=THRESH)
-        plan = plan_device_memory(g, 8, opts, PAPER_MACHINE.gpu,
-                                  double_buffer=True)
-        assert plan.staging_bytes > 0
-        # Device memory between the serial footprint and the
-        # double-buffered one: the plan must not fit, and the engine must
-        # drop to the single-buffer schedule instead of OOM-evacuating.
-        squeezed = PAPER_MACHINE.scaled_gpu_memory(
-            plan.total_bytes + plan.staging_bytes // 2)
-        tight = plan_device_memory(g, 8, opts, squeezed.gpu,
-                                   double_buffer=True)
-        assert not tight.fits
-
-        fell_back = _run(g, 8, async_streams=True, machine=squeezed)
-        serial = _run(g, 8, async_streams=False, machine=squeezed)
-        assert any("single-buffer" in note for note in fell_back.trace.notes)
-        assert np.array_equal(fell_back.part, serial.part)
-        assert fell_back.modeled_seconds == pytest.approx(
-            serial.modeled_seconds)
-
-    def test_serial_plan_has_no_staging(self):
-        g = GRAPHS["grid"]()
-        plan = plan_device_memory(g, 8, GPMetisOptions(), PAPER_MACHINE.gpu,
-                                  double_buffer=False)
-        assert plan.staging_bytes == 0
 
 
 class _Ticket:

@@ -51,9 +51,9 @@ class TestGpuMatch:
     def test_kernels_recorded(self, dev, medium_graph):
         d_csr = to_device(dev, medium_graph)
         gpu_match(dev, d_csr, medium_graph, 512, "hem", np.random.default_rng(0))
-        assert "coarsen.match" in dev.stats.kernels
-        assert "coarsen.resolve" in dev.stats.kernels
-        assert dev.stats.kernel("coarsen.match").launches == 1
+        # One fused match/resolve launch per level.
+        assert set(dev.stats.kernels) == {"coarsen.match_resolve"}
+        assert dev.stats.kernel("coarsen.match_resolve").launches == 1
 
     def test_uniform_weights_switch_to_rm(self, dev, grid):
         """Paper: "If all the edges have the same weight, a random matching

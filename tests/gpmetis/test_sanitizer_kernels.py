@@ -20,9 +20,8 @@ from repro.runtime.machine import PAPER_MACHINE
 #: The six kernel modules of gpmetis/kernels/, by the launch names each
 #: contributes (merge_hash/merge_sort run inside contract_merge).
 KERNEL_FAMILIES = {
-    # The async-streams schedule (default) fuses match+resolve into one
-    # launch; the serial schedule keeps the two separate kernels.
-    "matching": ("coarsen.match", "coarsen.resolve", "coarsen.match_resolve"),
+    # Match and conflict resolution run as one fused launch.
+    "matching": ("coarsen.match_resolve",),
     "cmap": ("coarsen.cmap_mark", "coarsen.cmap_subtract", "coarsen.cmap_final"),
     "contraction": ("coarsen.contract_count", "coarsen.contract_merge",
                     "coarsen.contract_compact"),

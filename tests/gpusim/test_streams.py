@@ -1,10 +1,11 @@
-"""Unit tests for Stream/Event async copies on the simulated device.
+"""Unit tests for async copies on named streams of the simulated device.
 
 The model is eager-data / deferred-time: an async copy moves its bytes
 at enqueue (so results never depend on the schedule) while the PCIe cost
 lands on the stream's track, to be folded into wall time only at a
-synchronize.  Events are points on a stream's timeline; ``wait`` is
-``cudaStreamWaitEvent`` (an idle gap, nothing charged).
+synchronize.  A stream command starts at ``max(track end, host now)``:
+after the work already queued on its stream and after everything the
+host issued before it, kernels included.
 """
 
 import numpy as np
@@ -36,43 +37,35 @@ def dev(clock):
 class TestAsyncCopies:
     def test_h2d_data_lands_at_enqueue(self, dev):
         host = np.arange(1000, dtype=np.int64)
-        darr, ev = h2d_async(dev.stream("copy"), host, NET)
+        s = dev.stream("copy")
+        darr = h2d_async(s, host, NET)
         np.testing.assert_array_equal(darr.data, host)
-        assert ev.time > 0.0
+        assert s.cursor > 0.0
         assert dev.clock.total_seconds == 0.0  # host did not block
 
     def test_d2h_roundtrip(self, dev):
         host = np.arange(500, dtype=np.int64)
         s = dev.stream("copy")
-        darr, _ = h2d_async(s, host, NET)
-        out, ev = d2h_async(s, darr, NET)
-        ev.synchronize()
+        out = d2h_async(s, h2d_async(s, host, NET), NET)
         np.testing.assert_array_equal(out, host)
 
     def test_copies_serialize_on_one_stream(self, dev):
         s = dev.stream("copy")
-        _, ev1 = h2d_async(s, np.zeros(1000, dtype=np.int64), NET)
-        _, ev2 = h2d_async(s, np.zeros(1000, dtype=np.int64), NET)
-        assert ev2.time == pytest.approx(2 * ev1.time)
-
-    def test_stream_wait_orders_cross_stream(self, dev):
-        copy, compute = dev.stream("copy"), dev.stream("compute")
-        _, ev = h2d_async(copy, np.zeros(4000, dtype=np.int64), NET)
-        compute.wait(ev)
-        assert compute.cursor == pytest.approx(ev.time)
-        # The gap is idle, not charged.
-        assert dev.clock.busy_seconds == pytest.approx(
-            NET.pcie_seconds(4000 * 8))
+        h2d_async(s, np.zeros(1000, dtype=np.int64), NET)
+        first = s.cursor
+        h2d_async(s, np.zeros(1000, dtype=np.int64), NET)
+        assert s.cursor == pytest.approx(2 * first)
 
     def test_synchronize_folds_into_wall(self, dev):
         s = dev.stream("copy")
-        _, ev = h2d_async(s, np.zeros(4000, dtype=np.int64), NET)
-        s.synchronize()
-        assert dev.clock.total_seconds == pytest.approx(ev.time)
+        h2d_async(s, np.zeros(4000, dtype=np.int64), NET)
+        end = s.cursor
+        dev.clock.sync_tracks()
+        assert dev.clock.total_seconds == pytest.approx(end)
 
     def test_stats_counted(self, dev):
         s = dev.stream("copy")
-        darr, _ = h2d_async(s, np.zeros(100, dtype=np.int64), NET)
+        darr = h2d_async(s, np.zeros(100, dtype=np.int64), NET)
         d2h_async(s, darr, NET)
         assert dev.stats.h2d_transfers == 1
         assert dev.stats.d2h_transfers == 1
@@ -80,23 +73,26 @@ class TestAsyncCopies:
 
 
 class TestKernelsOnStreams:
-    def test_kernel_lands_on_default_stream(self, dev):
-        compute = dev.stream("compute")
-        dev.default_stream = compute
+    def test_kernel_lands_on_host_stream(self, dev):
         with dev.kernel("k", 256) as k:
             a = dev.alloc(256, np.int64)
             k.stream_write(a, np.ones(256, dtype=np.int64))
-        assert compute.cursor > 0.0
-        assert dev.clock.total_seconds == 0.0  # async launch
+        assert dev.clock.total_seconds > 0.0  # the launch is synchronous
+        assert dev.host_stream.cursor == dev.clock.total_seconds
+        assert all(e.track == "" for e in dev.clock.events)
 
-    def test_kernel_after_copy_event(self, dev):
-        copy, compute = dev.stream("copy"), dev.stream("compute")
-        dev.default_stream = compute
-        darr, ev = h2d_async(copy, np.arange(2048, dtype=np.int64), NET)
-        compute.wait(ev)
+    def test_copy_enqueues_after_issued_kernel(self, dev):
+        # A download of a kernel's output needs no event: the copy
+        # cannot start before the host issued it, i.e. after the kernel.
+        a = dev.alloc(2048, np.int64)
         with dev.kernel("k", 2048) as k:
-            k.stream_read(darr)
-        assert compute.cursor > ev.time
+            k.stream_write(a, np.arange(2048, dtype=np.int64))
+        kernel_end = dev.clock.now
+        s = dev.stream("copy")
+        d2h_async(s, a, NET)
+        copy_events = [e for e in dev.clock.events if e.track == s.track]
+        assert copy_events[0].start == pytest.approx(kernel_end)
+        assert dev.clock.now == kernel_end  # the host did not block
 
 
 class TestInjectedAsyncFaults:
@@ -108,7 +104,7 @@ class TestInjectedAsyncFaults:
     def test_transient_fail_retries_on_track(self, clock, dev):
         attach_injector(clock, self._plan())
         host = np.arange(1000, dtype=np.int64)
-        darr, _ = h2d_async(dev.stream("copy"), host, NET)
+        darr = h2d_async(dev.stream("copy"), host, NET)
         np.testing.assert_array_equal(darr.data, host)  # retry recovered
         # The burned first attempt plus the successful copy both sit on
         # the track: strictly more than one clean copy's time.
@@ -152,11 +148,11 @@ class TestSyncAsyncParity:
         host = np.arange(1000, dtype=np.int64)
         stream = dev.stream("copy")
         if direction == "h2d":
-            out = (h2d_async(stream, host, NET)[0].data if on_stream
+            out = (h2d_async(stream, host, NET).data if on_stream
                    else h2d(dev, host, NET).data)
         else:
             darr = dev.adopt(host.copy())
-            out = d2h_async(stream, darr, NET)[0] if on_stream else d2h(darr, NET)
+            out = d2h_async(stream, darr, NET) if on_stream else d2h(darr, NET)
         clock.sync_tracks()
         np.testing.assert_array_equal(out, host)  # both retries recovered
         spans = [

@@ -73,29 +73,6 @@ class TestSyncAndWait:
         c.sync_tracks()
         assert c.total_seconds == pytest.approx(0.5)
 
-    def test_sync_subset_only(self):
-        c = _clock()
-        c.charge("compute", 0.5, track="stream:a")
-        c.charge("transfer_bytes", 0.3, track="stream:b")
-        c.sync_tracks(["stream:b"])
-        assert c.total_seconds == pytest.approx(0.3)
-
-    def test_wait_until_is_monotone(self):
-        c = _clock()
-        c.charge("compute", 1.0)
-        c.wait_until(0.5)  # in the past: a no-op
-        assert c.total_seconds == pytest.approx(1.0)
-        c.wait_until(2.0)
-        assert c.total_seconds == pytest.approx(2.0)
-
-    def test_advance_track_leaves_idle_gap(self):
-        # cudaStreamWaitEvent: nothing is charged for the gap.
-        c = _clock()
-        c.advance_track("stream:k", 0.4)
-        start, _ = c.charge("compute", 0.1, track="stream:k")
-        assert start == pytest.approx(0.4)
-        assert c.busy_seconds == pytest.approx(0.1)
-
     def test_set_phase_syncs_tracks(self):
         # Phase spans must contain their async work, so a phase change
         # folds every outstanding track into the wall clock first.
